@@ -1001,15 +1001,26 @@ mod tests {
         let writer = cell.clone();
         let stop = Arc::new(AtomicU64::new(0));
         let stop_r = stop.clone();
+        // Start handshake: the writer waits until the reader is running,
+        // so its sets cannot all finish before the reader's first `get`.
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let started_r = started.clone();
         let reader = std::thread::spawn(move || {
             let mut reads = 0u64;
-            while stop_r.load(Ordering::Acquire) == 0 {
+            loop {
                 let (a, b) = *cell.get();
                 assert_eq!(a, b, "torn read: halves diverged");
                 reads += 1;
+                if reads == 1 {
+                    started_r.wait();
+                }
+                if stop_r.load(Ordering::Acquire) != 0 {
+                    break;
+                }
             }
             reads
         });
+        started.wait();
         for i in 1..=10_000u64 {
             writer.set((i, i));
         }

@@ -381,9 +381,16 @@ impl LoadReport {
     }
 }
 
-/// Periodic sampler: folds all per-session stats into the aggregate
+/// Periodic sampler: folds the per-session stats into the aggregate
 /// `load.*` metrics and emits `session_done` events. Re-arms its timer
 /// only while sessions are still running, so the simulation drains.
+///
+/// A sample reads only the sessions that are live at it: those that have
+/// arrived and were not yet seen finished. Arrivals are non-decreasing in
+/// session index, so a cursor admits them in order; a session seen
+/// finished leaves the live list with its round count folded into
+/// `retired_rounds` (a finished client records no further rounds). Per
+/// sample the cost is O(live), not O(sessions).
 struct LoadWatcher {
     handles: Vec<StatsHandle>,
     arrivals: Vec<u64>,
@@ -391,16 +398,49 @@ struct LoadWatcher {
     obs: Obs,
     sessions_active: MetricId,
     requests_total: MetricId,
+    /// Sessions `0..arrived` have arrived.
+    arrived: usize,
+    /// Arrived, unfinished session indices, in index order.
+    live: Vec<usize>,
+    /// Rounds of the sessions that have left `live`.
+    retired_rounds: u64,
     reported_rounds: u64,
-    done_reported: Vec<bool>,
+    /// Session handles read so far: the watcher's cost, which the tests
+    /// pin to the live count at each sample.
+    reads: u64,
 }
 
 impl LoadWatcher {
+    fn new(
+        handles: Vec<StatsHandle>,
+        arrivals: Vec<u64>,
+        period_us: u64,
+        obs: &Obs,
+        sessions_active: MetricId,
+        requests_total: MetricId,
+    ) -> Self {
+        LoadWatcher {
+            handles,
+            arrivals,
+            period_us,
+            obs: obs.clone(),
+            sessions_active,
+            requests_total,
+            arrived: 0,
+            live: Vec::new(),
+            retired_rounds: 0,
+            reported_rounds: 0,
+            reads: 0,
+        }
+    }
+
     fn sample(&mut self, now: SimTime) {
-        let now_us = now.as_us();
-        let mut finished = 0usize;
-        let mut rounds = 0u64;
-        for (i, h) in self.handles.iter().enumerate() {
+        let newly = self.arrivals[self.arrived..].partition_point(|&t| t <= now.as_us());
+        self.live.extend(self.arrived..self.arrived + newly);
+        self.arrived += newly;
+        let mut live_rounds = 0u64;
+        self.live.retain(|&i| {
+            self.reads += 1;
             // Only observations strictly before the sample time count: the
             // shared-memory stats are written by other actors, and events
             // at exactly `now` race with this timer in the sequential
@@ -408,31 +448,30 @@ impl LoadWatcher {
             // pure function of simulated time, so a sharded run (where the
             // watcher samples after whole worker epochs) folds the exact
             // same series.
-            let (done_at, n_rounds) = h.with(|s| {
+            let (done_at, n_rounds) = self.handles[i].with(|s| {
                 let done = s.finished_at.filter(|&t| t < now);
                 (done, s.rounds.partition_point(|r| r.finished < now) as u64)
             });
-            rounds += n_rounds;
-            if let Some(t) = done_at {
-                finished += 1;
-                if !self.done_reported[i] {
-                    self.done_reported[i] = true;
-                    self.obs.publish(
-                        Event::new(t.as_us(), Source::Load, "session_done")
-                            .with("session", i)
-                            .with("rounds", n_rounds),
-                    );
-                }
-            }
-        }
-        let arrived = self.arrivals.iter().filter(|&&t| t <= now_us).count();
-        self.obs.set(self.sessions_active, (arrived - finished) as f64);
+            let Some(t) = done_at else {
+                live_rounds += n_rounds;
+                return true;
+            };
+            self.retired_rounds += n_rounds;
+            self.obs.publish(
+                Event::new(t.as_us(), Source::Load, "session_done")
+                    .with("session", i)
+                    .with("rounds", n_rounds),
+            );
+            false
+        });
+        let rounds = self.retired_rounds + live_rounds;
+        self.obs.set(self.sessions_active, self.live.len() as f64);
         self.obs.inc(self.requests_total, rounds - self.reported_rounds);
         self.reported_rounds = rounds;
     }
 
     fn all_done(&self) -> bool {
-        self.done_reported.iter().all(|&d| d)
+        self.arrived == self.handles.len() && self.live.is_empty()
     }
 }
 
@@ -459,6 +498,11 @@ impl Actor for LoadWatcher {
 /// `bench/load_bench` demonstrates against the O(N) per-session-clone
 /// alternative.
 pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
+    simulate(opts, db).0
+}
+
+/// [`run_load`], also returning every session's finished stats handle.
+fn simulate(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> (LoadReport, Vec<StatsHandle>) {
     assert!(opts.sessions > 0, "need at least one session");
     assert!(!opts.profiles.is_empty(), "need at least one QoS profile");
     let sc = opts.scenario();
@@ -558,16 +602,14 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
     sim.mark_observer(watcher_host);
     sim.spawn(
         watcher_host,
-        Box::new(LoadWatcher {
-            handles: handles.clone(),
-            arrivals: arrivals.clone(),
-            period_us: opts.period_us,
-            obs: obs.clone(),
+        Box::new(LoadWatcher::new(
+            handles.clone(),
+            arrivals.clone(),
+            opts.period_us,
+            &obs,
             sessions_active,
             requests_total,
-            reported_rounds: 0,
-            done_reported: vec![false; opts.sessions],
-        }),
+        )),
     );
 
     sim.run_until_idle();
@@ -575,8 +617,7 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
     let mut sessions = Vec::with_capacity(opts.sessions);
     let (mut requests, mut images, mut switches) = (0u64, 0u64, 0u64);
     for (i, h) in handles.iter().enumerate() {
-        let stats = h.take();
-        let summary = SessionSummary {
+        let summary = h.with(|stats| SessionSummary {
             session: i,
             profile: profiles[i],
             arrival_us: arrivals[i],
@@ -586,13 +627,13 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
             images: stats.images.len() as u64,
             switches: stats.switch_count() as u64,
             wire_bytes: stats.total_wire_bytes(),
-        };
+        });
         requests += summary.rounds;
         images += summary.images;
         switches += summary.switches;
         sessions.push(summary);
     }
-    LoadReport {
+    let report = LoadReport {
         sessions,
         end: sim.now(),
         events_handled: sim.events_handled(),
@@ -602,7 +643,8 @@ pub fn run_load(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> LoadReport {
         images_total: images,
         switches_total: switches,
         obs,
-    }
+    };
+    (report, handles)
 }
 
 #[cfg(test)]
@@ -698,6 +740,188 @@ mod tests {
             .events_filtered(&obs::EventFilter::any().source(Source::Load).kind("session_done"));
         assert_eq!(starts.len(), 3);
         assert_eq!(dones.len(), 3);
+    }
+
+    /// The fold the live-list watcher replaced: every sample reads every
+    /// session and every arrival time.
+    struct FullScan {
+        seen_done: Vec<bool>,
+        reported_rounds: u64,
+    }
+
+    /// One sample's output: the `load.requests_total` delta, the
+    /// `load.sessions_active` value and the `session_done` events as
+    /// `(t, session, rounds)`.
+    type SampleOut = (u64, f64, Vec<(u64, u64, u64)>);
+
+    impl FullScan {
+        fn sample(&mut self, handles: &[StatsHandle], arrivals: &[u64], now: SimTime) -> SampleOut {
+            let (mut finished, mut rounds, mut done) = (0usize, 0u64, Vec::new());
+            for (i, h) in handles.iter().enumerate() {
+                let (done_at, n) = h.with(|s| {
+                    let done = s.finished_at.filter(|&t| t < now);
+                    (done, s.rounds.partition_point(|r| r.finished < now) as u64)
+                });
+                rounds += n;
+                if let Some(t) = done_at {
+                    finished += 1;
+                    if !self.seen_done[i] {
+                        self.seen_done[i] = true;
+                        done.push((t.as_us(), i as u64, n));
+                    }
+                }
+            }
+            let arrived = arrivals.iter().filter(|&&t| t <= now.as_us()).count();
+            let delta = rounds - self.reported_rounds;
+            self.reported_rounds = rounds;
+            (delta, (arrived - finished) as f64, done)
+        }
+    }
+
+    fn done_events(obs: &Obs) -> Vec<(u64, u64, u64)> {
+        obs.events_filtered(&obs::EventFilter::any().source(Source::Load).kind("session_done"))
+            .iter()
+            .map(|e| (e.at_us, e.u64_field("session").unwrap(), e.u64_field("rounds").unwrap()))
+            .collect()
+    }
+
+    const ARRIVALS: [ArrivalProcess; 3] = [
+        ArrivalProcess::Poisson { mean_gap_us: 20_000 },
+        ArrivalProcess::Uniform { gap_us: 15_000 },
+        ArrivalProcess::Simultaneous,
+    ];
+
+    /// A finished run, with a fresh watcher driven over its handles at
+    /// every period until it reports all done. Every sample is checked
+    /// against the full-scan fold. Returns the run, the watcher and the
+    /// number of samples taken.
+    fn replay(arrival: ArrivalProcess) -> (LoadReport, LoadWatcher, u64) {
+        let opts = tiny(12).with_arrival(arrival);
+        let db = Arc::new(model_db(&opts));
+        let (report, handles) = simulate(&opts, &db);
+        let arrivals: Vec<u64> = report.sessions.iter().map(|s| s.arrival_us).collect();
+        let obs = Obs::new();
+        let active = obs.gauge("load.sessions_active");
+        let total = obs.counter("load.requests_total");
+        let mut watcher = LoadWatcher::new(
+            handles.clone(),
+            arrivals.clone(),
+            opts.period_us,
+            &obs,
+            active,
+            total,
+        );
+        let mut reference = FullScan { seen_done: vec![false; handles.len()], reported_rounds: 0 };
+        let mut samples = 0u64;
+        while !watcher.all_done() {
+            samples += 1;
+            let now = SimTime::from_us(samples * opts.period_us);
+            let (total_before, done_before) = (obs.counter_value(total), done_events(&obs).len());
+            watcher.sample(now);
+            let got = (
+                obs.counter_value(total) - total_before,
+                obs.gauge_value(active),
+                done_events(&obs)[done_before..].to_vec(),
+            );
+            assert_eq!(got, reference.sample(&handles, &arrivals, now), "{arrival:?} at {now:?}");
+        }
+        assert!(reference.seen_done.iter().all(|&d| d), "{arrival:?}: watcher stopped early");
+        // The replay folds exactly what the watcher inside the run folded.
+        assert_eq!(done_events(&obs), done_events(&report.obs), "{arrival:?}");
+        assert_eq!(obs.counter_value(total), report.requests_total, "{arrival:?}");
+        (report, watcher, samples)
+    }
+
+    #[test]
+    fn watcher_matches_full_scan_fold_at_every_sample() {
+        for arrival in ARRIVALS {
+            let (report, _, samples) = replay(arrival);
+            assert!(samples > 1, "{arrival:?}");
+            assert_eq!(done_events(&report.obs).len(), report.sessions.len(), "{arrival:?}");
+        }
+    }
+
+    #[test]
+    fn watcher_reads_each_session_only_while_live() {
+        for arrival in ARRIVALS {
+            let (report, watcher, samples) = replay(arrival);
+            let period = LoadGenOpts::default().period_us;
+            // Session reads: every sample from its arrival through the first
+            // sample after its finish.
+            let expected: u64 = report
+                .sessions
+                .iter()
+                .map(|s| {
+                    let first = s.arrival_us.div_ceil(period).max(1);
+                    let last = s.finished_us.unwrap() / period + 1;
+                    last - first + 1
+                })
+                .sum();
+            // A full scan reads every session at every sample.
+            let full_scan = report.sessions.len() as u64 * samples;
+            assert!(expected < full_scan, "{arrival:?}: the run cannot tell the two apart");
+            assert_eq!(watcher.reads, expected, "{arrival:?}");
+        }
+    }
+
+    #[test]
+    fn watcher_counts_only_observations_strictly_before_the_sample() {
+        // A round and a finish landing exactly on a sample time are seen
+        // by the next sample, not by that one.
+        let period = 10_000;
+        let at = SimTime::from_us(2 * period);
+        let h = StatsHandle::new();
+        h.record_round(crate::stats::RoundRecord {
+            image_id: 0,
+            round: 0,
+            wire_round: 0,
+            started: SimTime::from_us(period / 2),
+            finished: at,
+            wire_bytes: 1,
+            raw_bytes: 1,
+            level: 0,
+            dr: 1,
+        });
+        h.record_finished(at);
+        let obs = Obs::new();
+        let active = obs.gauge("load.sessions_active");
+        let total = obs.counter("load.requests_total");
+        let mut watcher = LoadWatcher::new(vec![h], vec![0], period, &obs, active, total);
+        watcher.sample(at);
+        assert_eq!((obs.counter_value(total), obs.gauge_value(active)), (0, 1.0));
+        assert!(done_events(&obs).is_empty() && !watcher.all_done());
+        watcher.sample(SimTime::from_us(3 * period));
+        assert_eq!((obs.counter_value(total), obs.gauge_value(active)), (1, 0.0));
+        assert_eq!(done_events(&obs), vec![(at.as_us(), 0, 1)]);
+        assert!(watcher.all_done());
+        assert_eq!(watcher.reads, 2);
+    }
+
+    #[test]
+    fn load_bus_events_match_across_drain_modes() {
+        let opts = tiny(8);
+        let db = Arc::new(model_db(&opts));
+        let load_events = |mode: DrainMode| {
+            let report = run_load(&opts.clone().with_drain_mode(mode), &db);
+            let mut events: Vec<Event> = report
+                .obs
+                .events_filtered(&obs::EventFilter::any().source(Source::Load))
+                .iter()
+                .map(|e| (**e).clone())
+                .collect();
+            // Worker shards publish `session_start` concurrently, so only
+            // the watcher's `session_done` sequence has a fixed bus order
+            // under a sharded drain; compare the rest as a multiset.
+            let done = done_events(&report.obs);
+            events.sort_by_key(|e| (e.at_us, e.kind, e.u64_field("session")));
+            (done, events)
+        };
+        let batched = load_events(DrainMode::Batched);
+        assert_eq!(batched.0.len(), 8);
+        for threads in [1usize, 2] {
+            let sharded = load_events(DrainMode::Sharded { threads, shards: 0 });
+            assert_eq!(batched, sharded, "threads={threads}");
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@ stage "tests (SIMNET_THREADS matrix)"
 # Tier-1 tests run under both thread settings: SIMNET_THREADS feeds
 # `DrainMode::Sharded { threads: 0, .. }` resolution, so =1 exercises
 # the sequential fallback and =4 the parallel epoch loop. Digest
-# equality between the two is what the sharded determinism tests check.
+# equality between the two is what the sharded determinism tests check
+# (simnet/tests/sharded.rs, visapp's load tests, the arbiter and DST
+# suites); the root `default-members` lists every workspace crate, so
+# `cargo test -q` runs them.
 # Note: the chaos fault-injection scenarios (visapp `chaos_*` tests) run
 # as part of `cargo test -q`; they used to be a dedicated stage, which
 # ran the whole visapp suite a second time for nothing.
