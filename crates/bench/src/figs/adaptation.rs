@@ -29,6 +29,9 @@ use visapp::{
 /// The output of one adaptation experiment.
 pub struct ExperimentResult {
     pub adaptive: RunStats,
+    /// The adaptive run's observability sink: its `decide`/`switch`/`defer`
+    /// bus stream and `monitor.*` counters.
+    pub adaptive_obs: obs::Obs,
     pub static_runs: Vec<(String, RunStats)>,
     pub db_records: usize,
     /// The calibrated QoS threshold, when the experiment uses one.
@@ -85,7 +88,8 @@ pub fn fig7a(
     ));
     let schedule = || LimitSchedule::new().at(switch_at, Limits::cpu(cpu_share).with_net(lo_bps));
     let start = Limits::cpu(cpu_share).with_net(hi_bps);
-    let adaptive = run_adaptive(sc, store, db, prefs, start, Some(schedule())).stats;
+    let out = run_adaptive(sc, store, db, prefs, start, Some(schedule()));
+    let (adaptive, adaptive_obs) = (out.stats, out.obs);
     let dr = sc.img_size / 2; // the scheduler's typical pick
     let mut static_runs = Vec::new();
     for method in [Method::Lzw, Method::Bzip] {
@@ -93,7 +97,7 @@ pub fn fig7a(
         let out = run_static(sc, store, cfg, start, Some(schedule()));
         static_runs.push((method.name().to_string(), out.stats));
     }
-    ExperimentResult { adaptive, static_runs, db_records, threshold: None }
+    ExperimentResult { adaptive, adaptive_obs, static_runs, db_records, threshold: None }
 }
 
 /// Experiment 2 (Figure 7b): transmit each image within a deadline while
@@ -133,14 +137,15 @@ pub fn fig7b(
     .then(Preference::new(vec![], Objective::minimize("transmit_time")));
     let schedule = || LimitSchedule::new().at(switch_at, Limits::cpu(lo_share).with_net(fixed_bps));
     let start = Limits::cpu(hi_share).with_net(fixed_bps);
-    let adaptive = run_adaptive(sc, store, db, prefs, start, Some(schedule())).stats;
+    let out = run_adaptive(sc, store, db, prefs, start, Some(schedule()));
+    let (adaptive, adaptive_obs) = (out.stats, out.obs);
     let mut static_runs = Vec::new();
     for (label, level) in [(format!("level {l_hi}"), l_hi), (format!("level {l_lo}"), l_lo)] {
         let cfg = VizConfig { dr: dr as usize, level: level as usize, method: Method::Lzw };
         let out = run_static(sc, store, cfg, start, Some(schedule()));
         static_runs.push((label, out.stats));
     }
-    ExperimentResult { adaptive, static_runs, db_records, threshold: Some(deadline) }
+    ExperimentResult { adaptive, adaptive_obs, static_runs, db_records, threshold: Some(deadline) }
 }
 
 /// Experiment 3 (Figures 7c/7d): keep per-round response time below a
@@ -197,14 +202,15 @@ pub fn fig7cd(
     ));
     let schedule = || LimitSchedule::new().at(switch_at, Limits::cpu(lo_share).with_net(fixed_bps));
     let start = Limits::cpu(hi_share).with_net(fixed_bps);
-    let adaptive = run_adaptive(sc, store, db, prefs, start, Some(schedule())).stats;
+    let out = run_adaptive(sc, store, db, prefs, start, Some(schedule()));
+    let (adaptive, adaptive_obs) = (out.stats, out.obs);
     let mut static_runs = Vec::new();
     for dr in [dr_big, dr_small] {
         let cfg = VizConfig { dr: dr as usize, level: level as usize, method: Method::Lzw };
         let out = run_static(sc, store, cfg, start, Some(schedule()));
         static_runs.push((format!("dR={dr}"), out.stats));
     }
-    ExperimentResult { adaptive, static_runs, db_records, threshold: Some(bound) }
+    ExperimentResult { adaptive, adaptive_obs, static_runs, db_records, threshold: Some(bound) }
 }
 
 #[cfg(test)]
