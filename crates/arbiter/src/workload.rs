@@ -372,6 +372,17 @@ impl AppActor {
 }
 
 impl Actor for AppActor {
+    fn before_event(&mut self, ctx: &mut Ctx<'_>) {
+        // The inner settles first, but only while it gets its events at
+        // all: an app that no longer forwards stops its inner's clock.
+        if self.forwarding() {
+            match &mut self.inner {
+                Workload::Session(s) => s.before_event(ctx),
+                Workload::Bulk(b) => b.before_event(ctx),
+            }
+        }
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.set_timer(self.arrival_us, TAG_ARRIVE);
     }

@@ -9,7 +9,7 @@ use arbiter::{
     WorkloadKind,
 };
 use obs::{EventFilter, Source, Value};
-use simnet::DrainMode;
+use simnet::{DrainMode, ExplorePlan};
 use visapp::{model_db, LoadGenOpts, QosProfile};
 
 fn storm_db(opts: &StormOpts) -> Arc<adapt_core::PerfDb> {
@@ -268,4 +268,39 @@ fn saturating_mix_reports_utilization_and_p99() {
     for (tier, p99) in &r.p99_response_s {
         assert!(p99.is_finite() && *p99 > 0.0, "tier {tier} p99 = {p99}");
     }
+}
+
+#[test]
+fn parked_monitor_ticks_leave_the_storm_unchanged() {
+    // Exploration with the identity plan is the batched schedule with a
+    // monitor that never parks: everything but the kernel's event count
+    // must match it, and so must the total number of monitor ticks.
+    let base = full_mix();
+    let db = storm_db(&base);
+    let reference =
+        run_storm(&base.clone().with_drain_mode(DrainMode::Explore(ExplorePlan::new(0))), &db);
+    let parked = run_storm(&base.with_drain_mode(DrainMode::Batched), &db);
+    let behaviour = |r: &arbiter::StormReport| {
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {} {} {} {}",
+            r.apps,
+            r.counters,
+            r.decisions,
+            r.p99_response_s,
+            r.end,
+            r.utilization.to_bits(),
+            r.busy_utilization.to_bits(),
+            r.overload_opens,
+            r.overload_closes
+        )
+    };
+    assert_eq!(behaviour(&parked), behaviour(&reference));
+    let count = |r: &arbiter::StormReport, name: &str| {
+        r.obs.lookup(name).map_or(0, |id| r.obs.counter_value(id))
+    };
+    let (ticks, skipped) =
+        (count(&parked, "monitor.ticks"), count(&parked, "monitor.ticks_parked"));
+    assert!(skipped > 0, "sessions under the arbiter park too");
+    assert_eq!(ticks + skipped, count(&reference, "monitor.ticks"));
+    assert_eq!(count(&reference, "monitor.ticks_parked"), 0);
 }

@@ -105,6 +105,20 @@ impl WindowStat {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
+
+    /// Does the window hold exactly `n` samples, at `t - (n-1)·period`,
+    /// …, `t - period`, `t`, each bit-for-bit equal to `v`?
+    fn is_grid_constant(&self, t: SimTime, period_us: u64, n: u64, v: f64) -> bool {
+        let on_grid = |i: u64, &(ts, x): &(SimTime, f64)| {
+            x.to_bits() == v.to_bits() && t.0.checked_sub(i * period_us) == Some(ts.0)
+        };
+        // The oldest sample first: after a change it still holds the old
+        // value, so a window that is not constant is usually rejected in
+        // O(1), and only a likely fixed point pays the full scan.
+        self.samples.len() as u64 == n
+            && self.samples.front().is_some_and(|s| on_grid(n - 1, s))
+            && self.samples.iter().rev().zip(0..).all(|(s, i)| on_grid(i, s))
+    }
 }
 
 /// The resource region within which the currently active configuration
@@ -151,9 +165,7 @@ impl ValidityRegion {
         let mut out = Vec::new();
         for (key, &(min, max)) in &self.ranges {
             let Some(v) = estimate.get(key) else { continue };
-            let lo_ok = !min.is_finite() || v >= min - hysteresis * min.abs().max(1e-12);
-            let hi_ok = !max.is_finite() || v <= max + hysteresis * max.abs().max(1e-12);
-            if !lo_ok || !hi_ok {
+            if !in_range(v, min, max, hysteresis) {
                 out.push(Violation { key: key.clone(), value: v, range: (min, max) });
             }
         }
@@ -259,8 +271,15 @@ impl MonitoringAgent {
         if !self.watched.contains(key) {
             return;
         }
-        let w = self.window_us;
-        self.stats.entry(key.clone()).or_insert_with(|| WindowStat::new(w)).push(t, value);
+        // Look up before inserting: the key is cloned only for a new window.
+        match self.stats.get_mut(key) {
+            Some(stat) => stat.push(t, value),
+            None => {
+                let mut stat = WindowStat::new(self.window_us);
+                stat.push(t, value);
+                self.stats.insert(key.clone(), stat);
+            }
+        }
     }
 
     /// Last-known availability estimate (window means over all retained
@@ -309,6 +328,11 @@ impl MonitoringAgent {
                 return None;
             }
         }
+        // The common case allocates nothing: the estimate, the stale list
+        // and the trigger are built only when one fires.
+        if self.is_quiet_at(t) {
+            return None;
+        }
         let estimate = self.estimate_at(t);
         let stale = self.stale_keys(t);
         if estimate.is_empty() && stale.is_empty() {
@@ -321,6 +345,80 @@ impl MonitoringAgent {
         self.last_trigger = Some(t);
         Some(Trigger { at: t, violations, estimate, stale })
     }
+
+    /// Would [`check`](MonitoringAgent::check) at `t` find nothing to
+    /// report, ignoring the trigger gap? Each window mean is computed in
+    /// place, exactly as [`estimate_at`](MonitoringAgent::estimate_at)
+    /// computes it, and tested against its validity range: no stale
+    /// resource and no violation.
+    fn is_quiet_at(&self, t: SimTime) -> bool {
+        self.stats.iter().all(|(key, stat)| match stat.mean_at(t) {
+            None => stat.is_empty(),
+            Some(m) => {
+                let v = m.max(0.0);
+                // A non-finite mean takes the slow path, which rejects it.
+                v.is_finite()
+                    && self
+                        .validity
+                        .ranges
+                        .get(key)
+                        .is_none_or(|&(min, max)| in_range(v, min, max, self.hysteresis))
+            }
+        })
+    }
+
+    /// May the ticks after an evaluated one at `t` be parked? True when
+    /// every later tick, fed the same `readings`, would leave the agent in
+    /// the same state and report nothing:
+    ///
+    /// - each watched resource read as `Some(v)` holds a full window of
+    ///   `window / period + 1` samples on the tick grid ending at `t`, all
+    ///   bit-for-bit `v` — a time-shift fixed point, so every later check
+    ///   computes bit-identical means;
+    /// - each watched resource read as `None` was never observed (one that
+    ///   was would go stale);
+    /// - the current estimate has no violation and no stale resource,
+    ///   judged on the estimate itself: a tick held back only by
+    ///   `min_trigger_gap_us` would fire once the gap passes.
+    pub fn is_fixed_point(
+        &self,
+        t: SimTime,
+        period_us: u64,
+        readings: &[(&ResourceKey, Option<f64>)],
+    ) -> bool {
+        let full = self.window_us / period_us + 1;
+        self.watched.iter().all(|key| {
+            let reading = readings.iter().find(|(k, _)| *k == key).and_then(|&(_, v)| v);
+            match (reading, self.stats.get(key)) {
+                (Some(v), Some(stat)) => stat.is_grid_constant(t, period_us, full, v),
+                (Some(_), None) => false,
+                (None, stat) => stat.is_none_or(WindowStat::is_empty),
+            }
+        }) && self.is_quiet_at(t)
+    }
+
+    /// Replay `n` parked ticks at `first`, `first + period`, …: each would
+    /// have observed the value its resource's window already holds
+    /// throughout (see [`is_fixed_point`](MonitoringAgent::is_fixed_point)).
+    /// Only the last `window / period + 1` observations survive pruning,
+    /// so only those are pushed: O(window) per call, not O(n).
+    pub fn replay_parked(&mut self, first: SimTime, period_us: u64, n: u64) {
+        let kept = n.min(self.window_us / period_us + 1);
+        for stat in self.stats.values_mut() {
+            let Some(v) = stat.latest() else { continue };
+            for i in n - kept..n {
+                stat.push(first + i * period_us, v);
+            }
+        }
+    }
+}
+
+/// Is `v` inside `[min, max]` widened by `hysteresis` (relative to the
+/// bound)? An infinite bound is never violated.
+fn in_range(v: f64, min: f64, max: f64, hysteresis: f64) -> bool {
+    let lo_ok = !min.is_finite() || v >= min - hysteresis * min.abs().max(1e-12);
+    let hi_ok = !max.is_finite() || v <= max + hysteresis * max.abs().max(1e-12);
+    lo_ok && hi_ok
 }
 
 #[cfg(test)]
@@ -459,6 +557,114 @@ mod tests {
         assert!(trig.estimate.get(&cpu()).is_none(), "expired value is not 'fresh'");
         assert_eq!(m.estimate().get(&cpu()), Some(0.8), "last-known value retained");
         assert!(trig.violations.is_empty(), "stale alone, not a range violation");
+    }
+
+    const P: u64 = 10_000;
+    const W: u64 = 200_000;
+
+    fn net() -> ResourceKey {
+        ResourceKey::net("client")
+    }
+
+    /// A monitor that has ticked on the grid up to `t`, observing `cpu`
+    /// at each tick; the window then holds `W / P + 1 = 21` samples.
+    fn ticked(t: u64, value: f64) -> MonitoringAgent {
+        let mut m = MonitoringAgent::new(vec![cpu(), net()], W);
+        m.set_validity(ValidityRegion::new().with_range(cpu(), 0.5, 1.0));
+        for g in (0..=t).step_by(P as usize) {
+            m.observe(t_at(g), &cpu(), value);
+            assert!(m.check(t_at(g)).is_none());
+        }
+        m
+    }
+
+    fn t_at(us: u64) -> SimTime {
+        SimTime::from_us(us)
+    }
+
+    #[test]
+    fn a_full_constant_window_is_a_fixed_point() {
+        let m = ticked(500_000, 0.8);
+        assert!(m.is_fixed_point(t_at(500_000), P, &[(&cpu(), Some(0.8)), (&net(), None)]));
+        // Any later reading but the retained one breaks it.
+        assert!(!m.is_fixed_point(t_at(500_000), P, &[(&cpu(), Some(0.7)), (&net(), None)]));
+    }
+
+    #[test]
+    fn one_differing_sample_blocks_parking() {
+        let mut m = ticked(490_000, 0.8);
+        m.observe(t_at(500_000), &cpu(), f64::from_bits(0.8f64.to_bits() + 1));
+        assert!(m.check(t_at(500_000)).is_none());
+        assert!(!m.is_fixed_point(t_at(500_000), P, &[(&cpu(), Some(0.8)), (&net(), None)]));
+    }
+
+    #[test]
+    fn a_window_not_yet_full_blocks_parking() {
+        // 20 samples: the next tick would grow the window, not shift it.
+        let m = ticked(190_000, 0.8);
+        assert!(!m.is_fixed_point(t_at(190_000), P, &[(&cpu(), Some(0.8)), (&net(), None)]));
+        let m = ticked(200_000, 0.8);
+        assert!(m.is_fixed_point(t_at(200_000), P, &[(&cpu(), Some(0.8)), (&net(), None)]));
+    }
+
+    #[test]
+    fn a_violation_held_back_only_by_the_gap_blocks_parking() {
+        let mut m = ticked(500_000, 0.8);
+        m.min_trigger_gap_us = 1_000_000;
+        // The first violating tick fires; the window then turns over at
+        // 0.2 inside the gap, so every later check is silent.
+        let mut fired = 0;
+        for g in (510_000..=800_000).step_by(P as usize) {
+            m.observe(t_at(g), &cpu(), 0.2);
+            fired += usize::from(m.check(t_at(g)).is_some());
+        }
+        assert_eq!(fired, 1, "rate-limited after the first trigger");
+        assert!(!m.is_fixed_point(t_at(800_000), P, &[(&cpu(), Some(0.2)), (&net(), None)]));
+    }
+
+    #[test]
+    fn a_resource_observed_then_missing_blocks_parking() {
+        let mut m = ticked(500_000, 0.8);
+        // The network was observed once; a tick that reads nothing for it
+        // lets it go stale.
+        m.observe(t_at(400_000), &net(), 1e6);
+        assert!(m.check(t_at(500_000)).is_none());
+        assert!(!m.is_fixed_point(t_at(500_000), P, &[(&cpu(), Some(0.8)), (&net(), None)]));
+    }
+
+    #[test]
+    fn replayed_ticks_leave_the_state_evaluated_ticks_leave() {
+        for n in [1u64, 5, 20, 21, 22, 300] {
+            let mut evaluated = ticked(500_000, 0.8);
+            let mut replayed = ticked(500_000, 0.8);
+            for i in 1..=n {
+                let g = t_at(500_000 + i * P);
+                evaluated.observe(g, &cpu(), 0.8);
+                assert!(evaluated.check(g).is_none());
+            }
+            replayed.replay_parked(t_at(510_000), P, n);
+            let end = t_at(500_000 + n * P);
+            let bits = |m: &MonitoringAgent| m.estimate_at(end).get(&cpu()).map(f64::to_bits);
+            assert_eq!(bits(&evaluated), bits(&replayed), "n = {n}");
+            let (e, r) = (&evaluated.stats[&cpu()], &replayed.stats[&cpu()]);
+            assert_eq!(e.samples, r.samples, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn quiet_check_matches_the_full_check() {
+        // The allocation-free path must agree with the trigger path on
+        // every side of the range, with and without hysteresis.
+        for &v in &[0.0, 0.3, 0.47, 0.5, 0.75, 1.0, 1.04, 1.2] {
+            for &h in &[0.0, 0.05] {
+                let mut m = MonitoringAgent::new(vec![cpu()], W);
+                m.set_validity(ValidityRegion::new().with_range(cpu(), 0.5, 1.0));
+                m.hysteresis = h;
+                m.observe(t_at(0), &cpu(), v);
+                let quiet = m.is_quiet_at(t_at(0));
+                assert_eq!(quiet, m.check(t_at(0)).is_none(), "v = {v}, h = {h}");
+            }
+        }
     }
 
     #[test]

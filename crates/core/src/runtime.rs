@@ -5,10 +5,15 @@
 //!
 //! 1. feed resource observations with [`AdaptiveRuntime::observe`] (from
 //!    sandbox progress estimates or its own measurements);
-//! 2. call [`AdaptiveRuntime::tick`] periodically (the monitoring agent's
-//!    10 ms cadence) — when the active configuration's validity region is
+//! 2. call [`AdaptiveRuntime::tick`] on the monitoring agent's period
+//!    (10 ms) — when the active configuration's validity region is
 //!    violated, the scheduler picks a new configuration and hands it to
-//!    the steering agent;
+//!    the steering agent. After a tick, [`AdaptiveRuntime::try_park`] says
+//!    whether the following ticks provably cannot change anything; if so
+//!    the application may stop calling `tick` and must call
+//!    [`AdaptiveRuntime::resume_parked`] before it next touches the
+//!    runtime or its observation source, which replays the skipped ticks
+//!    exactly (DESIGN.md, "Parked monitor ticks");
 //! 3. call [`AdaptiveRuntime::at_boundary`] at task boundaries — the only
 //!    points where the switch takes effect; returned transition actions
 //!    (e.g. "notify the server") are the application's to execute.
@@ -142,13 +147,24 @@ pub struct AdaptiveRuntime {
     /// Deadline of the last emitted `Deferred` event, so a dwell window
     /// logs one deferral instead of one per boundary.
     last_defer_until: Option<SimTime>,
+    /// The next tick not yet run, while ticks are parked.
+    parked: Option<Parked>,
     obs_ctx: Option<RuntimeObs>,
+}
+
+/// Parked ticks: the first one not yet replayed and the tick period.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    next: SimTime,
+    period_us: u64,
 }
 
 /// Pre-registered metric targets so the 10 ms tick stays allocation-free.
 struct RuntimeObs {
     obs: Obs,
     ticks: MetricId,
+    /// Ticks parked and replayed instead of evaluated.
+    ticks_parked: MetricId,
     /// Per-tick adaptation-loop latency (`"runtime.tick"` histogram):
     /// monitor check + scheduler decision + steering enqueue, the figure
     /// the scale-out load harness aggregates across sessions.
@@ -184,6 +200,7 @@ impl AdaptiveRuntime {
             degraded: false,
             last_probe: None,
             last_defer_until: None,
+            parked: None,
             obs_ctx: None,
         };
         rt.push_event(AdaptationEvent::Decided {
@@ -210,6 +227,7 @@ impl AdaptiveRuntime {
         self.obs_ctx = Some(RuntimeObs {
             obs: obs.clone(),
             ticks: obs.counter("monitor.ticks"),
+            ticks_parked: obs.counter("monitor.ticks_parked"),
             tick_span: obs.histogram("runtime.tick"),
         });
     }
@@ -332,6 +350,48 @@ impl AdaptiveRuntime {
             }
         }
         Some(trigger)
+    }
+
+    /// After an evaluated [`tick`](AdaptiveRuntime::tick) at `t` that was
+    /// fed `readings` (per resource, what the observation source gave;
+    /// `None` when it had nothing), park the ticks at `t + period_us`,
+    /// `t + 2·period_us`, … when none of them can change anything: the
+    /// runtime is not degraded (its recovery probe runs on ticks) and the
+    /// monitor is at a fixed point that reports nothing
+    /// ([`MonitoringAgent::is_fixed_point`]). The caller must guarantee the
+    /// readings stay the same until it calls
+    /// [`resume_parked`](AdaptiveRuntime::resume_parked).
+    pub fn try_park(
+        &mut self,
+        t: SimTime,
+        period_us: u64,
+        readings: &[(&ResourceKey, Option<f64>)],
+    ) -> bool {
+        if self.degraded || !self.monitor.is_fixed_point(t, period_us, readings) {
+            return false;
+        }
+        self.parked = Some(Parked { next: t + period_us, period_us });
+        true
+    }
+
+    /// Un-park: replay every parked tick before `until`, and the one at
+    /// `until` itself when `include_until` (the caller knows whether that
+    /// tick would have run before the event it is handling). Returns the
+    /// first tick not replayed, or `None` when not parked. The replayed
+    /// ticks count on `monitor.ticks_parked`, not `monitor.ticks`.
+    pub fn resume_parked(&mut self, until: SimTime, include_until: bool) -> Option<SimTime> {
+        let Parked { next, period_us } = self.parked.take()?;
+        let n = if until < next {
+            0
+        } else {
+            let span = until.since(next);
+            span / period_us + 1 - u64::from(span.is_multiple_of(period_us) && !include_until)
+        };
+        self.monitor.replay_parked(next, period_us, n);
+        if let Some(o) = &self.obs_ctx {
+            o.obs.inc(o.ticks_parked, n);
+        }
+        Some(next + n * period_us)
     }
 
     /// While degraded, periodically re-consult the scheduler with the
@@ -694,6 +754,51 @@ mod tests {
         let ticks = obs.lookup("monitor.ticks").expect("counter registered by set_obs");
         assert_eq!(obs.counter_value(ticks), 10);
     }
+
+    /// Tick every 10 ms from `from` through `to` on steady readings,
+    /// parking as soon as allowed when `park`; returns whether it parked.
+    fn tick_steady(rt: &mut AdaptiveRuntime, from: u64, to: u64, park: bool) -> bool {
+        let (c, n) = (cpu(), net());
+        let readings = [(&c, Some(1.0)), (&n, Some(1_000_000.0))];
+        for g in (from..=to).step_by(10_000) {
+            let t = SimTime::from_us(g);
+            rt.observe(t, &c, 1.0);
+            rt.observe(t, &n, 1_000_000.0);
+            assert!(rt.tick(t).is_none());
+            if park && rt.try_park(t, 10_000, &readings) {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn parked_ticks_replay_to_the_evaluated_state() {
+        let (obs_a, obs_b) = (Obs::new(), Obs::new());
+        let mut ticking = runtime().with_obs(&obs_a);
+        let mut parking = runtime().with_obs(&obs_b);
+        assert!(!tick_steady(&mut ticking, 10_000, 3_000_000, false));
+        assert!(tick_steady(&mut parking, 10_000, 3_000_000, true), "a steady window parks");
+        // Resume at 3 s, before that instant's tick.
+        let next = parking.resume_parked(SimTime::from_secs(3), false);
+        assert_eq!(next, Some(SimTime::from_secs(3)));
+        assert_eq!(parking.resume_parked(SimTime::from_secs(3), false), None, "un-parked");
+        let c = cpu();
+        parking.observe(SimTime::from_secs(3), &c, 1.0);
+        parking.observe(SimTime::from_secs(3), &net(), 1_000_000.0);
+        assert!(parking.tick(SimTime::from_secs(3)).is_none());
+        let end = SimTime::from_secs(3);
+        for key in [cpu(), net()] {
+            let bits =
+                |rt: &AdaptiveRuntime| rt.monitor.estimate_at(end).get(&key).map(f64::to_bits);
+            assert_eq!(bits(&ticking), bits(&parking));
+        }
+        let count = |obs: &Obs, name: &str| obs.lookup(name).map_or(0, |id| obs.counter_value(id));
+        assert_eq!(count(&obs_a, "monitor.ticks"), 300);
+        assert_eq!(count(&obs_b, "monitor.ticks") + count(&obs_b, "monitor.ticks_parked"), 300);
+        // The window is 1 s: it parks once it holds 101 equal samples.
+        assert_eq!(count(&obs_b, "monitor.ticks_parked"), 300 - 101 - 1);
+    }
 }
 
 #[cfg(test)]
@@ -812,5 +917,32 @@ mod negotiation_tests {
         rt.at_boundary(SimTime::from_secs(7));
         assert!(!rt.is_degraded(), "left degraded mode after recovery");
         assert!(obs.events().iter().any(|e| e.kind == "recover"));
+    }
+
+    #[test]
+    fn a_degraded_runtime_never_parks() {
+        let spec = dsl::parse(dsl::ACTIVE_VIZ_SPEC).unwrap();
+        let prefs = PreferenceList::single(Preference::new(
+            vec![crate::qos::Constraint::at_most("transmit_time", 3.0)],
+            Objective::maximize("resolution"),
+        ));
+        let sched = ResourceScheduler::new(db(), prefs, "img");
+        let start = ResourceVector::new(&[(cpu(), 1.0), (net(), 1_000_000.0)]);
+        let mut rt = AdaptiveRuntime::try_configure(spec, sched, 1_000_000, &start).unwrap();
+        let (c, n) = (cpu(), net());
+        let readings = [(&c, Some(1.0)), (&n, Some(50_000.0))];
+        for g in (0..=3_000_000u64).step_by(10_000) {
+            let t = SimTime::from_us(g);
+            rt.observe(t, &c, 1.0);
+            rt.observe(t, &n, 50_000.0);
+            rt.tick(t);
+            rt.at_boundary(t);
+            assert!(!rt.try_park(t, 10_000, &readings), "parked at {t}");
+        }
+        assert!(rt.is_degraded());
+        // Degraded mode is the only thing in the way: the monitor itself
+        // sits at a fixed point under the fallback's unbounded region.
+        let end = SimTime::from_secs(3);
+        assert!(rt.monitor.is_fixed_point(end, 10_000, &readings));
     }
 }

@@ -249,6 +249,12 @@ impl<A: Actor> Sandboxed<A> {
 }
 
 impl<A: Actor> Actor for Sandboxed<A> {
+    fn before_event(&mut self, ctx: &mut Ctx<'_>) {
+        // The application settles first: every progress sample below is
+        // pushed after it.
+        self.inner.before_event(ctx);
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.inner.on_start(ctx);
         self.drain_inner(ctx);

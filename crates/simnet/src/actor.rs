@@ -42,6 +42,15 @@ impl std::fmt::Display for HostId {
 /// (`Rc`, `RefCell`, raw pointers). Use `Arc<Mutex<..>>` for shared
 /// handles instead.
 pub trait Actor: Send {
+    /// Invoked at the start of every handler call below (start, restart,
+    /// message, timer, continuation), before the handler itself.
+    /// [`Ctx::stamp`](crate::kernel::Ctx::stamp) identifies the event.
+    /// An actor that elides periodic work catches up here, so it is
+    /// settled before anything else in the event can observe or change
+    /// its state. Interposition layers must forward it to the actor they
+    /// wrap before doing their own work.
+    fn before_event(&mut self, _ctx: &mut Ctx<'_>) {}
+
     /// Invoked once when the simulation starts (time zero) or, for actors
     /// spawned later, at spawn time.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}

@@ -35,6 +35,7 @@ use crate::cpu::CpuSched;
 use crate::fault::DropReason;
 use crate::link::{FlowSched, Link, LinkMode};
 use crate::message::Message;
+use crate::stamp::{Cause, EventStamp, TimerChain};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
 
@@ -75,6 +76,9 @@ pub(crate) struct ActorState {
     /// Incarnation number: bumped on every crash so timers armed by a
     /// previous incarnation are ignored after a restart.
     incarnation: u64,
+    /// The event during which the actor's host last crashed (boxed: most
+    /// actors never crash).
+    crashed_by: Option<Box<EventStamp>>,
 }
 
 impl ActorState {
@@ -98,6 +102,7 @@ impl ActorState {
             alive: false,
             crashed: false,
             incarnation: 0,
+            crashed_by: None,
         }
     }
 }
@@ -114,9 +119,11 @@ pub(crate) enum Ev {
         dst: usize,
         epoch: u64,
     },
+    /// Actor indices are `u32` to keep `Ev`, and so every queue entry,
+    /// small; [`Sim::spawn`] caps the actor count to match.
     Deliver {
-        src: ActorId,
-        dst: ActorId,
+        src: u32,
+        dst: u32,
         msg: Message,
         queued: SimTime,
     },
@@ -137,16 +144,18 @@ pub(crate) enum Ev {
 struct HeapEntry {
     t: SimTime,
     seq: u64,
+    cause: Cause,
     ev: Ev,
 }
 
-/// A bucketed event plus the time it was pushed. The push time is what a
-/// sequential run's global sequence number encodes (pushes happen in
-/// nondecreasing time order), so carrying it lets a sharded run splice
-/// cross-shard deliveries into a destination bucket at the position the
-/// sequential run would have given them.
+/// A bucketed event plus its [`Cause`]: push time, sequence number and
+/// causal summary. The push time is what a sequential run's global
+/// sequence number encodes (pushes happen in nondecreasing time order),
+/// so carrying it lets a sharded run splice cross-shard deliveries into a
+/// destination bucket at the position the sequential run would have given
+/// them.
 pub(crate) struct Queued {
-    pub(crate) push_t: SimTime,
+    pub(crate) cause: Cause,
     pub(crate) ev: Ev,
 }
 
@@ -161,15 +170,16 @@ pub(crate) struct ShardCtx {
     pub(crate) l_cross: Option<u64>,
     /// Deliveries destined to other shards, exchanged at epoch barriers.
     pub(crate) outbox: Vec<OutEntry>,
-    pub(crate) out_seq: u64,
 }
 
 /// One cross-shard delivery awaiting injection at the next barrier.
 pub(crate) struct OutEntry {
     pub(crate) dst_shard: usize,
     pub(crate) deliver_t: SimTime,
-    pub(crate) push_t: SimTime,
+    /// Per-shard push sequence number; with the push time it orders the
+    /// barrier merge.
     pub(crate) seq: u64,
+    pub(crate) cause: Cause,
     pub(crate) ev: Ev,
 }
 
@@ -346,7 +356,10 @@ impl Ord for HeapEntry {
 /// The simulation: hosts, links, actors, and the event queue.
 pub struct Sim {
     now: SimTime,
+    /// Enqueue sequence counter (every mode; the heap orders by it).
     seq: u64,
+    /// Stamp of the event being handled, `None` between events.
+    current: Option<EventStamp>,
     mode: DrainMode,
     heap: BinaryHeap<HeapEntry>,
     /// Batched-mode queue: min-heap of distinct pending timestamps …
@@ -426,7 +439,8 @@ impl Sim {
     pub fn new() -> Self {
         Sim {
             now: SimTime::ZERO,
-            seq: 0,
+            seq: 1,
+            current: None,
             mode: DrainMode::default(),
             heap: BinaryHeap::new(),
             times: BinaryHeap::new(),
@@ -494,6 +508,7 @@ impl Sim {
             );
         }
         let id = ActorId(self.actors.len());
+        assert!(id.0 < u32::MAX as usize, "too many actors");
         self.actors.push(Some(actor));
         self.states.push(ActorState {
             host,
@@ -510,6 +525,7 @@ impl Sim {
             alive: true,
             crashed: false,
             incarnation: 0,
+            crashed_by: None,
         });
         let t = self.now;
         self.push(t, Ev::Start(id));
@@ -702,6 +718,7 @@ impl Sim {
     /// [`Sim::restart_host`]. Traced as [`TraceEvent::HostCrash`].
     pub fn crash_host(&mut self, host: HostId) {
         self.assert_host_local(host, "crash_host");
+        let by = self.current.unwrap_or_else(|| EventStamp::setup(self.now, self.seq));
         let mut any = false;
         for i in 0..self.states.len() {
             if self.states[i].host != host || !self.states[i].alive {
@@ -717,6 +734,7 @@ impl Sim {
             let st = &mut self.states[i];
             st.alive = false;
             st.crashed = true;
+            st.crashed_by = Some(Box::new(by));
             st.incarnation += 1;
             st.running = Running::Idle;
             st.fifo.clear();
@@ -872,7 +890,7 @@ impl Sim {
                     debug_assert!(entry.t >= self.now);
                     self.queue_len -= 1;
                     self.now = entry.t;
-                    self.handle(entry.ev);
+                    self.handle(entry.cause, entry.ev);
                 }
             }
             DrainMode::Batched | DrainMode::Explore(_) => self.drain_batched_until_idle(),
@@ -897,7 +915,7 @@ impl Sim {
                     let entry = self.heap.pop().unwrap();
                     self.queue_len -= 1;
                     self.now = entry.t;
-                    self.handle(entry.ev);
+                    self.handle(entry.cause, entry.ev);
                 }
             }
             DrainMode::Batched | DrainMode::Explore(_) => self.drain_batched_until(t),
@@ -1025,23 +1043,18 @@ impl Sim {
             }
             _ => t,
         };
+        let seq = self.seq;
+        self.seq += 1;
+        let cause = Cause::new(self.now, t, seq, self.current.as_ref());
         // Sharded sub-run: deliveries addressed to a foreign shard go to
         // the outbox (exchanged at the next barrier) instead of the local
         // queue. Only `Deliver` can cross shards: timers, wakes, and CPU
         // events are host-local by construction.
         if let Some(ctx) = self.shard_ctx.as_mut() {
             if let Ev::Deliver { dst, .. } = &ev {
-                let dst_shard = ctx.shard_of_host[self.states[dst.0].host.0];
+                let dst_shard = ctx.shard_of_host[self.states[*dst as usize].host.0];
                 if dst_shard != ctx.my_shard {
-                    let seq = ctx.out_seq;
-                    ctx.out_seq += 1;
-                    ctx.outbox.push(OutEntry {
-                        dst_shard,
-                        deliver_t: t,
-                        push_t: self.now,
-                        seq,
-                        ev,
-                    });
+                    ctx.outbox.push(OutEntry { dst_shard, deliver_t: t, seq, cause, ev });
                     return;
                 }
             }
@@ -1051,20 +1064,15 @@ impl Sim {
             self.peak_queue_depth = self.queue_len;
         }
         match self.mode {
-            DrainMode::Heap => {
-                let seq = self.seq;
-                self.seq += 1;
-                self.heap.push(HeapEntry { t, seq, ev });
-            }
+            DrainMode::Heap => self.heap.push(HeapEntry { t, seq, cause, ev }),
             DrainMode::Batched | DrainMode::Explore(_) | DrainMode::Sharded { .. } => {
-                let push_t = self.now;
                 match self.buckets.entry(t) {
-                    Entry::Occupied(mut e) => e.get_mut().push_back(Queued { push_t, ev }),
+                    Entry::Occupied(mut e) => e.get_mut().push_back(Queued { cause, ev }),
                     Entry::Vacant(e) => {
                         // Reuse a drained bucket so a storm of same-time
                         // events pays its deque growth only once.
                         let bucket = self.spare_buckets.pop().unwrap_or_default();
-                        e.insert(bucket).push_back(Queued { push_t, ev });
+                        e.insert(bucket).push_back(Queued { cause, ev });
                         self.times.push(Reverse(t));
                     }
                 }
@@ -1104,14 +1112,20 @@ impl Sim {
     fn drain_batch(&mut self, mut batch: VecDeque<Queued>) {
         while let Some(q) = batch.pop_front() {
             self.queue_len -= 1;
-            self.handle(q.ev);
+            self.handle(q.cause, q.ev);
         }
         if self.spare_buckets.len() < SPARE_BUCKETS {
             self.spare_buckets.push(batch);
         }
     }
 
-    fn handle(&mut self, ev: Ev) {
+    fn handle(&mut self, cause: Cause, ev: Ev) {
+        self.current = Some(EventStamp::new(self.now, cause));
+        self.handle_event(ev);
+        self.current = None;
+    }
+
+    fn handle_event(&mut self, ev: Ev) {
         self.events_handled += 1;
         if let Some(limit) = self.event_limit {
             if self.events_handled > limit {
@@ -1157,6 +1171,7 @@ impl Sim {
                 }
             }
             Ev::Deliver { src, dst, msg, queued } => {
+                let (src, dst) = (ActorId(src as usize), ActorId(dst as usize));
                 if !self.states[dst.0].alive {
                     let now = self.now;
                     self.trace.emit(
@@ -1252,7 +1267,7 @@ impl Sim {
         for id in done {
             if let Some((s, d, msg, queued, jitter_us)) = self.inflight.remove(&id) {
                 let t = now + latency + jitter_us;
-                self.push(t, Ev::Deliver { src: s, dst: d, msg, queued });
+                self.push(t, Ev::Deliver { src: s.0 as u32, dst: d.0 as u32, msg, queued });
             }
         }
     }
@@ -1413,7 +1428,7 @@ impl Sim {
             link.schedule(self.now, bytes).deliver
         } + jitter_us;
         let queued = self.now;
-        self.push(deliver_at, Ev::Deliver { src, dst, msg, queued });
+        self.push(deliver_at, Ev::Deliver { src: src.0 as u32, dst: dst.0 as u32, msg, queued });
     }
 
     /// Take the actor out of its slot, run `f` with a [`Ctx`], put it back.
@@ -1422,6 +1437,7 @@ impl Sim {
             self.actors[a.0].take().unwrap_or_else(|| panic!("reentrant dispatch on {a}"));
         {
             let mut ctx = Ctx { sim: self, id: a };
+            actor.before_event(&mut ctx);
             f(&mut actor, &mut ctx);
         }
         self.actors[a.0] = Some(actor);
@@ -1468,6 +1484,7 @@ impl Sim {
             .map(|i| {
                 let mut s = Sim::new();
                 s.now = self.now;
+                s.seq = self.seq;
                 s.event_limit = self.event_limit;
                 s.default_bw_bps = self.default_bw_bps;
                 s.default_latency_us = self.default_latency_us;
@@ -1484,7 +1501,6 @@ impl Sim {
                     shard_of_host: plan.shard_of_host.clone(),
                     l_cross: plan.l_cross,
                     outbox: Vec::new(),
-                    out_seq: 0,
                 });
                 s
             })
@@ -1549,7 +1565,7 @@ impl Sim {
                     Ev::Start(a) | Ev::Restart(a) => host_of[a.0],
                     Ev::CpuNext { host, .. } => *host,
                     Ev::FlowNext { src, .. } => *src,
-                    Ev::Deliver { dst, .. } => host_of[dst.0],
+                    Ev::Deliver { dst, .. } => host_of[*dst as usize],
                     Ev::Timer { actor, .. } | Ev::Wake { actor } => host_of[actor.0],
                     Ev::Script(Some(h), _) => h.0,
                     Ev::Script(None, _) => panic!(
@@ -1586,7 +1602,8 @@ impl Sim {
     /// nondecreasing push-time order, so a binary search finds the slot; an
     /// exact push-time collision means the sequential order was ambiguous
     /// and is counted in [`Sim::ambiguous_ties`].
-    pub(crate) fn inject_barrier(&mut self, deliver_t: SimTime, push_t: SimTime, ev: Ev) {
+    pub(crate) fn inject_barrier(&mut self, deliver_t: SimTime, cause: Cause, ev: Ev) {
+        let push_t = cause.enqueued;
         debug_assert!(deliver_t >= self.now, "barrier delivery in the past");
         self.queue_len += 1;
         if self.queue_len > self.peak_queue_depth {
@@ -1603,11 +1620,11 @@ impl Sim {
                 e.insert(spare)
             }
         };
-        let pos = bucket.partition_point(|q| q.push_t <= push_t);
-        if pos > 0 && bucket[pos - 1].push_t == push_t {
+        let pos = bucket.partition_point(|q| q.cause.enqueued <= push_t);
+        if pos > 0 && bucket[pos - 1].cause.enqueued == push_t {
             self.ambiguous_ties += 1;
         }
-        bucket.insert(pos, Queued { push_t, ev });
+        bucket.insert(pos, Queued { cause, ev });
     }
 
     /// Take the cross-shard deliveries accumulated since the last barrier.
@@ -1628,7 +1645,7 @@ impl Sim {
         for (si, sub) in subs.iter_mut().enumerate() {
             debug_assert_eq!(sub.queue_len, 0, "absorbing a shard with pending events");
             self.events_handled += sub.events_handled;
-            self.seq += sub.seq;
+            self.seq = self.seq.max(sub.seq);
             self.ambiguous_ties += sub.ambiguous_ties;
             peak_sum += sub.peak_queue_depth;
             self.peak_shard_queue_depth = self.peak_shard_queue_depth.max(sub.peak_queue_depth);
@@ -1720,6 +1737,34 @@ impl Ctx<'_> {
         let id = self.id;
         let incarnation = self.sim.states[id.0].incarnation;
         self.sim.push(t, Ev::Timer { actor: id, tag, incarnation });
+    }
+
+    /// Fire `on_timer(tag)` after `period_us`, as the first link of a
+    /// periodic [`TimerChain`] the actor keeps re-arming one period on.
+    /// The returned chain places any fire the actor elides relative to the
+    /// events it does handle ([`TimerChain::fires_before`]).
+    pub fn arm_timer_chain(&mut self, period_us: u64, tag: u64) -> TimerChain {
+        let first_seq = self.sim.seq;
+        self.set_timer(period_us, tag);
+        TimerChain::new(period_us, self.stamp(), first_seq)
+    }
+
+    /// The event being handled: when it fires, where it was enqueued, and
+    /// a summary of what caused it (see [`EventStamp`]).
+    pub fn stamp(&self) -> EventStamp {
+        self.sim.current.expect("a Ctx exists only inside an event handler")
+    }
+
+    /// The event during which this actor's host last crashed, if it ever
+    /// did. Timers stop at that event: a fire that would have come after
+    /// it never happens.
+    pub fn last_crash(&self) -> Option<EventStamp> {
+        self.sim.states[self.id.0].crashed_by.as_deref().copied()
+    }
+
+    /// The simulation's drain mode.
+    pub fn drain_mode(&self) -> DrainMode {
+        self.sim.mode
     }
 
     /// Allocate simulated memory.

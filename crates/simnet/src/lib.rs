@@ -68,6 +68,7 @@ pub mod kernel;
 pub mod link;
 pub mod message;
 pub(crate) mod shard;
+pub mod stamp;
 pub mod time;
 pub mod trace;
 
@@ -77,6 +78,7 @@ pub use fault::{DropReason, FaultError, FaultPlan};
 pub use kernel::{Ctx, DrainMode, ExplorePlan, Sim, WireHook};
 pub use link::{FlowSched, Link, LinkMode};
 pub use message::{DecodeError, Message};
+pub use stamp::{EventStamp, TimerChain};
 pub use time::{dur, SimTime};
 pub use trace::{Trace, TraceEvent};
 

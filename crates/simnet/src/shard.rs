@@ -247,8 +247,8 @@ pub(crate) fn run_sharded_until_idle(sim: &mut Sim, threads: usize, shards: usiz
         );
         cross_msgs += out.len() as u64;
         // Deterministic merge order: push time, then source shard, then
-        // the per-shard send sequence.
-        out.sort_by_key(|&(si, ref e)| (e.push_t, si, e.seq));
+        // the per-shard push sequence.
+        out.sort_by_key(|&(si, ref e)| (e.cause.enqueued, si, e.seq));
         for (_, e) in out {
             if let Some(h) = horizon {
                 debug_assert!(
@@ -258,7 +258,7 @@ pub(crate) fn run_sharded_until_idle(sim: &mut Sim, threads: usize, shards: usiz
                     h
                 );
             }
-            subs[e.dst_shard].inject_barrier(e.deliver_t, e.push_t, e.ev);
+            subs[e.dst_shard].inject_barrier(e.deliver_t, e.cause, e.ev);
         }
     }
     let ties: u64 = subs.iter().map(|s| s.ambiguous_ties()).sum();

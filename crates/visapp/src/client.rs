@@ -21,7 +21,7 @@ use obs::{Adaptive, CommandRouter, ConfigValue, FnKnob, KnobError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sandbox::SandboxStats;
-use simnet::{Actor, ActorId, Ctx, Message, SimTime};
+use simnet::{Actor, ActorId, Ctx, DrainMode, Message, SimTime, TimerChain};
 use wavelet::{decode_chunks, Reassembler};
 
 use crate::costs;
@@ -33,6 +33,17 @@ use crate::user_model::UserModel;
 
 /// Timer tag for the monitoring agent (must stay below the sandbox's
 /// reserved range).
+///
+/// The monitor ticks on a fixed grid, one period apart from the first
+/// timer armed at start. The tick itself runs in [`Actor::before_event`]
+/// whenever the grid says one is due — at the timer's own event, or at
+/// an earlier event of the same instant that the tick would have
+/// preceded. After a tick that provably cannot change anything while the
+/// client waits (no compute in flight; see
+/// [`adapt_core::AdaptiveRuntime::try_park`]) the timer is not re-armed:
+/// the ticks are parked, and the client's next event replays them
+/// exactly before doing anything else (DESIGN.md, "Parked monitor ticks").
+/// A host crash ends the grid at the crash; a restart arms a new one.
 pub const TAG_MONITOR: u64 = 10;
 const CONT_ROUND_DONE: u64 = 20;
 /// Timer tag for half-open circuit-breaker probes (must stay below
@@ -269,6 +280,23 @@ impl ClientOpts {
     }
 }
 
+/// Explore mode draws a shuffle and a timer skew per queued event, and
+/// its same-instant order is not the enqueue order: there the monitor
+/// keeps a plain timer that ticks when it fires and never parks, since
+/// eliding ticks would reshuffle every explored schedule.
+fn explores(ctx: &Ctx<'_>) -> bool {
+    matches!(ctx.drain_mode(), DrainMode::Explore(_))
+}
+
+/// The monitor's tick grid. A `TAG_MONITOR` timer is live only while the
+/// ticks are not parked; one firing after its tick already ran is stale.
+#[derive(Debug, Clone, Copy)]
+struct MonitorClock {
+    chain: TimerChain,
+    /// The next grid tick not yet run (evaluated or replayed).
+    next: SimTime,
+}
+
 struct PendingRound {
     wire_bytes: u64,
     raw_bytes: usize,
@@ -311,6 +339,8 @@ pub struct Client {
     /// transport trait; inside the simulator this is a [`SimTransport`]
     /// flushed at each send site, which replays onto the kernel verbatim.
     link: SimTransport,
+    /// The monitor tick grid, while adaptation is on and the grid runs.
+    clock: Option<MonitorClock>,
 }
 
 impl Client {
@@ -344,6 +374,7 @@ impl Client {
             breaker,
             saved_cfg: None,
             link: SimTransport::new(),
+            clock: None,
         }
     }
 
@@ -592,6 +623,35 @@ impl Client {
             self.post(ctx, Envelope::to(server, Message::signal(protocol::TAG_DISCONNECT, 32)));
         }
     }
+
+    /// Run the grid tick at `t` (the current instant, or a crash instant
+    /// being caught up): read the sandbox's estimates, observe them, tick
+    /// the runtime, then either park the following ticks or re-arm the
+    /// timer for the next one (unless `rearm` is off: a crash ended the
+    /// grid).
+    fn monitor_tick(&mut self, ctx: &mut Ctx<'_>, t: SimTime, rearm: bool) {
+        let (Some(a), Some(clock)) = (self.adapt.as_mut(), self.clock.as_mut()) else { return };
+        let cpu = a.sandbox_stats.cpu_share();
+        let bw = a.sandbox_stats.bandwidth_bps(true);
+        if let Some(share) = cpu {
+            a.runtime.observe(t, &a.cpu_key, share);
+        }
+        if let Some(bw) = bw {
+            a.runtime.observe(t, &a.net_key, bw);
+        }
+        a.runtime.tick(t);
+        let next = t + a.period_us;
+        clock.next = next;
+        if !rearm {
+            return;
+        }
+        let may_park = self.pending.is_none() && !explores(ctx);
+        let readings = [(&a.cpu_key, cpu), (&a.net_key, bw)];
+        if may_park && a.runtime.try_park(t, a.period_us, &readings) {
+            return;
+        }
+        ctx.set_timer(next.since(ctx.now()), TAG_MONITOR);
+    }
 }
 
 impl Actor for Client {
@@ -601,9 +661,41 @@ impl Actor for Client {
         let (server, method) = (self.opts.server, self.cfg.method);
         self.post(ctx, Envelope::to(server, protocol::connect_msg(method)));
         if let Some(a) = &self.adapt {
-            ctx.set_timer(a.period_us, TAG_MONITOR);
+            let chain = ctx.arm_timer_chain(a.period_us, TAG_MONITOR);
+            self.clock = Some(MonitorClock { chain, next: chain.first() });
         }
         self.begin_image(ctx);
+    }
+
+    /// Bring the monitor up to this event: replay parked ticks, or run a
+    /// grid tick the kernel would have handled before this event, so that
+    /// nothing below (nor the sandbox's own bookkeeping) sees a state the
+    /// always-ticking monitor would not have had.
+    fn before_event(&mut self, ctx: &mut Ctx<'_>) {
+        let Some(clock) = self.clock else { return };
+        if self.done || explores(ctx) {
+            return;
+        }
+        // A crash since the grid was armed stopped it at the crash.
+        let crash = ctx.last_crash().filter(|c| clock.chain.armed_by().is_before(c));
+        let until = crash.unwrap_or_else(|| ctx.stamp());
+        let due_at_until =
+            clock.chain.is_fire_instant(until.at()) && clock.chain.fires_before(&until);
+        let Some(a) = self.adapt.as_mut() else { return };
+        if let Some(next) = a.runtime.resume_parked(until.at(), due_at_until) {
+            self.clock = Some(MonitorClock { next, ..clock });
+            if crash.is_none() {
+                ctx.set_timer(next.since(ctx.now()), TAG_MONITOR);
+            }
+        } else if clock.next < until.at() || (clock.next == until.at() && due_at_until) {
+            // The live timer sits behind this event (or a crash cancelled
+            // it), but its tick comes first.
+            self.monitor_tick(ctx, clock.next, crash.is_none());
+        }
+        if crash.is_some() {
+            // The restart that delivers this event arms a new grid.
+            self.clock = None;
+        }
     }
 
     fn on_message(&mut self, _from: ActorId, msg: Message, ctx: &mut Ctx<'_>) {
@@ -802,23 +894,12 @@ impl Actor for Client {
             }
             return;
         }
-        if tag != TAG_MONITOR {
-            return;
-        }
-        if self.done {
-            return;
-        }
-        let now = ctx.now();
-        if let Some(a) = self.adapt.as_mut() {
-            if let Some(share) = a.sandbox_stats.cpu_share() {
-                a.runtime.observe(now, &a.cpu_key, share);
-            }
-            if let Some(bw) = a.sandbox_stats.bandwidth_bps(true) {
-                a.runtime.observe(now, &a.net_key, bw);
-            }
-            a.runtime.tick(now);
-            let period = a.period_us;
-            ctx.set_timer(period, TAG_MONITOR);
+        // TAG_MONITOR. The grid tick already ran in `before_event`, except
+        // under exploration, where the timer fires skewed and each tick
+        // re-arms one period from its own fire.
+        if tag == TAG_MONITOR && explores(ctx) && !self.done {
+            let now = ctx.now();
+            self.monitor_tick(ctx, now, true);
         }
     }
 }

@@ -58,6 +58,38 @@ if stale:
 print("BENCH_dst.json: explorer digests match the committed baseline")
 EOF
 
+# Load digest cross-check, the same contract for the load generator:
+# every sequential and sharded sweep row's outcome digest must match the
+# committed BENCH_load.json, or a behaviour change shipped without its
+# baseline.
+python3 - BENCH_load.json "$fresh/BENCH_load.json" <<'EOF' || status=1
+import json, sys
+with open(sys.argv[1]) as fh:
+    base = json.load(fh)["deterministic"]
+with open(sys.argv[2]) as fh:
+    fresh = json.load(fh)["deterministic"]
+rows = {
+    "sequential": (base["sequential"]["sweep"], fresh["sequential"]["sweep"]),
+    "sharded": (base["sharded_sweep"], fresh["sharded_sweep"]),
+}
+stale = []
+for name, (b_rows, f_rows) in rows.items():
+    if len(b_rows) != len(f_rows):
+        stale.append(f"{name}: committed {len(b_rows)} rows != fresh {len(f_rows)}")
+        continue
+    for b, f in zip(b_rows, f_rows):
+        if b["digest"] != f["digest"]:
+            stale.append(f"{name} sessions={b['sessions']}: committed {b['digest']} "
+                         f"!= fresh {f['digest']}")
+if stale:
+    print("BENCH_load.json: committed load digests are stale — regenerate the "
+          "baseline with ./target/release/load_bench and commit it:", file=sys.stderr)
+    for line in stale:
+        print(f"  {line}", file=sys.stderr)
+    sys.exit(1)
+print("BENCH_load.json: load digests match the committed baseline")
+EOF
+
 # Absolute zero-overhead gate on the *fresh* run (independent of the
 # committed baseline): with exporters disabled, the span hot path must
 # keep >= 95% of the no-exporter throughput measured in the same
