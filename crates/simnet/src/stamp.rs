@@ -149,10 +149,6 @@ impl TimerChain {
         TimerChain { period_us, armed_by, first_seq: first_seq as u32 }
     }
 
-    pub fn period_us(&self) -> u64 {
-        self.period_us
-    }
-
     /// The event that armed the chain.
     pub fn armed_by(&self) -> &EventStamp {
         &self.armed_by
