@@ -18,16 +18,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use adapt_core::{AdaptiveRuntime, PerfDb, ResourceScheduler, ResourceVector};
+use adapt_core::PerfDb;
 use obs::Obs;
 use sandbox::{Limits, LimitsHandle, SandboxStats};
-use simnet::{DrainMode, Sim, SimTime};
-use visapp::load::SplitMix64;
-use visapp::scenario::{client_cpu_key, client_net_key, viz_spec, PROFILE_INPUT};
-use visapp::{
-    AdaptSetup, Client, ClientOpts, LoadGenOpts, QosProfile, Server, StatsHandle, UserModel,
-    VizConfig,
-};
+use simnet::{DrainMode, Fnv64, Sim, SimTime, SplitMix64};
+use visapp::{AdaptiveSession, LoadGenOpts, QosProfile, Server, StatsHandle};
 
 use crate::admission::{AdmissionDecision, Pricer};
 use crate::app::{AppId, AppOutcome, AppSpec, AppState, Tier, WorkloadKind};
@@ -262,26 +257,22 @@ impl StormReport {
     /// queue-depth peaks (drain-strategy-dependent), floats, and anything
     /// wall-clock.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         for a in &self.apps {
-            mix(a.id as u64);
-            mix(a.state.code());
-            mix(a.tier_admitted as u64);
-            mix(a.tier_final as u64);
-            mix(a.weight as u64);
-            mix(a.arrival_us);
-            mix(a.strikes as u64);
-            mix(a.shed_count as u64);
-            mix(a.progress);
-            mix(a.finish_us.map_or(u64::MAX, |t| t));
+            for v in [
+                a.id as u64,
+                a.state.code(),
+                a.tier_admitted as u64,
+                a.tier_final as u64,
+                a.weight as u64,
+                a.arrival_us,
+                a.strikes as u64,
+                a.shed_count as u64,
+                a.progress,
+                a.finish_us.unwrap_or(u64::MAX),
+            ] {
+                h.write_u64(v);
+            }
         }
         let c = &self.counters;
         for v in [
@@ -296,11 +287,11 @@ impl StormReport {
             c.violations,
             c.backfilled,
         ] {
-            mix(v);
+            h.write_u64(v);
         }
-        mix(self.end.as_us());
-        mix(self.events_handled);
-        h
+        h.write_u64(self.end.as_us());
+        h.write_u64(self.events_handled);
+        h.finish()
     }
 
     /// Apps that ended the run in `state`.
@@ -332,8 +323,7 @@ pub fn run_storm_with_specs(
     db: &Arc<PerfDb>,
 ) -> StormReport {
     assert!(!specs.is_empty(), "storm needs at least one app");
-    let lopts = opts.load_opts();
-    let sc = lopts.scenario();
+    let sc = opts.load_opts().scenario();
     sc.validate().expect("invalid storm scenario");
     let store = sc.build_store();
     let obs = Obs::new();
@@ -380,55 +370,30 @@ pub fn run_storm_with_specs(
     for (i, spec) in specs.iter().enumerate() {
         let hc = sim.add_host(&format!("app{}", spec.id), 1.0, 1 << 30);
         sim.set_link(hc, arb_host, 12_500_000.0, 200);
-        let limits = LimitsHandle::new(Limits::unconstrained());
-        let stats = SandboxStats::new(lopts.monitor_window_us);
         let actor: Box<AppActor> = match spec.kind {
             WorkloadKind::Session => {
                 let hs = server_hosts[i % server_hosts.len()];
                 sim.set_link(hc, hs, opts.link_bps, opts.link_latency_us);
-                let scheduler = ResourceScheduler::new_shared(
-                    db.clone(),
-                    spec.profile.preferences(),
-                    PROFILE_INPUT,
-                );
-                let mut start = ResourceVector::default();
-                start.set(client_cpu_key(), 1.0);
-                start.set(client_net_key(), opts.link_bps);
-                let mut runtime = AdaptiveRuntime::try_configure(
-                    viz_spec(&sc),
-                    scheduler,
-                    lopts.monitor_window_us,
-                    &start,
-                )
-                .unwrap_or_else(|e| panic!("app {}: initial configuration failed: {e}", spec.id));
-                runtime.set_obs(&obs);
-                runtime.monitor.min_trigger_gap_us = lopts.trigger_gap_us;
-                let initial = VizConfig::from_configuration(runtime.current());
-                let adapt = AdaptSetup {
-                    runtime,
-                    sandbox_stats: stats.clone(),
-                    cpu_key: client_cpu_key(),
-                    net_key: client_net_key(),
-                    period_us: lopts.period_us,
-                };
-                let copts = ClientOpts::new(server_ids[i % server_ids.len()])
-                    .with_n_images(opts.n_images)
-                    .with_initial(initial)
-                    .with_user(UserModel::center(lopts.img_size, lopts.img_size))
-                    .with_geometry(store.cover_radius(), store.dims(), store.levels())
-                    .with_think_time(Some(think[i]));
                 let handle = StatsHandle::new();
                 handle.attach_obs(&obs);
                 session_handles.insert(spec.id, handle.clone());
-                let client = Client::new(copts, handle.clone(), Some(adapt));
+                let client = AdaptiveSession {
+                    server: server_ids[i % server_ids.len()],
+                    db: db.clone(),
+                    prefs: spec.profile.preferences(),
+                    limits: Limits::unconstrained(),
+                    think_time_us: Some(think[i]),
+                    stats: handle.clone(),
+                    obs: &obs,
+                    control: None,
+                }
+                .build(&sc, &store);
                 Box::new(AppActor::session(
                     spec.id,
                     arb_id,
                     spec.arrival_us,
                     opts.report_period_us,
                     client,
-                    limits,
-                    stats,
                     handle,
                 ))
             }
@@ -455,8 +420,8 @@ pub fn run_storm_with_specs(
                     opts.report_period_us,
                     spec.rogue,
                     worker,
-                    limits,
-                    stats,
+                    LimitsHandle::new(Limits::unconstrained()),
+                    SandboxStats::new(sc.monitor_window_us),
                 ))
             }
         };

@@ -209,26 +209,23 @@ impl AppActor {
         }
     }
 
-    /// Wrap a visapp client session.
-    #[allow(clippy::too_many_arguments)]
+    /// Wrap a sandboxed visapp client session.
     pub fn session(
         id: AppId,
         arbiter: ActorId,
         arrival_us: u64,
         report_period_us: u64,
-        client: Client,
-        limits: LimitsHandle,
-        stats: SandboxStats,
+        client: Sandboxed<Client>,
         session_stats: StatsHandle,
     ) -> Self {
-        let inner = Workload::Session(Sandboxed::new(client, limits.clone(), stats.clone()));
+        let (limits, stats) = (client.limits(), client.stats());
         Self::new(
             id,
             arbiter,
             arrival_us,
             report_period_us,
             false,
-            inner,
+            Workload::Session(client),
             limits,
             stats,
             Some(session_stats),

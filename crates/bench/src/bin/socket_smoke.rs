@@ -19,7 +19,7 @@
 
 use adapt_core::{Constraint, Objective, Preference, PreferenceList};
 use sandbox::{LimitSchedule, Limits};
-use simnet::SimTime;
+use simnet::{Fnv64, SimTime};
 use visapp::{
     build_db, decision_sequence, run_adaptive, run_adaptive_wired, socket_mirror_hook,
     MirrorBackend, Scenario,
@@ -44,16 +44,12 @@ fn prefs() -> PreferenceList {
 }
 
 fn fnv64(lines: &[String]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = Fnv64::new();
     for line in lines {
-        for &b in line.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x100000001b3);
+        h.write_bytes(line.as_bytes());
+        h.write_bytes(b"\n");
     }
-    h
+    h.finish()
 }
 
 fn main() {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use adapt_bench::figs::adaptation::{fig7a, fig7b, fig7cd, ExperimentResult};
 use adapt_bench::load::bench_opts;
 use obs::{EventFilter, Obs, Source};
-use simnet::{DrainMode, SimTime};
+use simnet::{DrainMode, Fnv64, SimTime};
 use visapp::load::{model_db, run_load, LoadGenOpts, LoadReport};
 use visapp::Scenario;
 
@@ -90,13 +90,8 @@ fn stream_digest(res: &ExperimentResult) -> (usize, u64) {
     let obs = &res.adaptive_obs;
     assert_eq!(obs.events_dropped(), 0, "the bus must retain the whole stream");
     let filter = EventFilter::any().source(Source::Scheduler).source(Source::Steering);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv64::new();
+    let mut mix = |bytes: &[u8]| h.write_bytes(bytes);
     let mut n = 0;
     for ev in obs.events_filtered(&filter) {
         if !matches!(ev.kind, "decide" | "switch" | "defer") {
@@ -117,7 +112,7 @@ fn stream_digest(res: &ExperimentResult) -> (usize, u64) {
         mix(key.to_string().as_bytes());
         mix(&value.to_bits().to_le_bytes());
     }
-    (n, h)
+    (n, h.finish())
 }
 
 #[test]

@@ -7,8 +7,7 @@
 //! fields, so a plan round-trips losslessly through the repro file format
 //! and replays byte-identically.
 
-use simnet::{FaultPlan, SimTime};
-use visapp::load::SplitMix64;
+use simnet::{FaultPlan, SimTime, SplitMix64};
 use visapp::{CLIENT_HOST, SERVER_HOST};
 
 /// Inclusive integer range `[lo, hi]`.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use adapt_core::{Constraint, Objective, PerfDb, Preference, PreferenceList, RefineEngine};
 use arbiter::{AppState, StormOpts};
 use sandbox::{LimitSchedule, Limits};
-use simnet::{DrainMode, ExplorePlan, SimTime};
+use simnet::{DrainMode, ExplorePlan, Fnv64, SimTime};
 use visapp::{
     build_db, model_db, run_adaptive_until, BreakerOpts, ImageStore, RunOutcome, Scenario,
     PROFILE_INPUT,
@@ -298,7 +298,7 @@ impl Default for TrialContext {
 /// and the end time. Floats are deliberately excluded so the digest is
 /// exact.
 pub fn digest_outcome(out: &RunOutcome) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     let rounds = obs::EventFilter::any().source(obs::Source::App).kind("round");
     for ev in out.obs.events_filtered(&rounds) {
         h.write_u64(ev.at_us);
@@ -322,62 +322,4 @@ pub fn digest_outcome(out: &RunOutcome) -> u64 {
     h.write_u64(out.stats.dup_replies_dropped);
     h.write_u64(out.end.as_us());
     h.finish()
-}
-
-/// Minimal FNV-1a 64 hasher (no external deps; stable across platforms).
-pub struct Fnv(u64);
-
-impl Fnv {
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub fn write_str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-        // Length terminator so "ab"+"c" != "a"+"bc".
-        self.write_u64(s.len() as u64);
-    }
-
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_order_sensitive() {
-        let mut a = Fnv::new();
-        a.write_u64(1);
-        a.write_u64(2);
-        let mut b = Fnv::new();
-        b.write_u64(2);
-        b.write_u64(1);
-        assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.write_str("ab");
-        c.write_str("c");
-        let mut d = Fnv::new();
-        d.write_str("a");
-        d.write_str("bc");
-        assert_ne!(c.finish(), d.finish());
-    }
 }

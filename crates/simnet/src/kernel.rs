@@ -32,6 +32,7 @@ use rand::{Rng, SeedableRng};
 use crate::accounting::{Accounting, Dir, Snapshot, Transfer};
 use crate::actor::{Action, Actor, ActorId, HostId};
 use crate::cpu::CpuSched;
+use crate::determinism::SplitMix64;
 use crate::fault::DropReason;
 use crate::link::{FlowSched, Link, LinkMode};
 use crate::message::Message;
@@ -305,36 +306,6 @@ impl std::hash::Hasher for TimeHasher {
     }
 }
 
-/// SplitMix64 for the explore-mode perturbation streams. Self-contained
-/// (no `rand` involvement) so committed exploration baselines cannot
-/// drift with a crate upgrade — the same property the load generator's
-/// seeded streams rely on.
-#[derive(Debug, Clone, Copy)]
-struct Mix64(u64);
-
-impl Mix64 {
-    fn new(seed: u64) -> Self {
-        Mix64(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, n)`; `0` when `n == 0`.
-    fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
-
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
         self.t == other.t && self.seq == other.seq
@@ -372,7 +343,7 @@ pub struct Sim {
     /// Drained, empty buckets kept for reuse (capacity recycling).
     spare_buckets: Vec<VecDeque<Queued>>,
     /// Explore-mode timer-skew stream (advanced once per timer push).
-    explore_rng: Mix64,
+    explore_rng: SplitMix64,
     /// Explore-mode batches drained so far (salts per-batch permutation).
     explore_batches: u64,
     queue_len: usize,
@@ -446,7 +417,7 @@ impl Sim {
             times: BinaryHeap::new(),
             buckets: HashMap::default(),
             spare_buckets: Vec::new(),
-            explore_rng: Mix64::new(0),
+            explore_rng: SplitMix64::new(0),
             explore_batches: 0,
             queue_len: 0,
             peak_queue_depth: 0,
@@ -782,16 +753,14 @@ impl Sim {
     }
 
     /// Install a runaway-loop backstop: the simulation panics (with the
-    /// tail of the trace, if tracing is enabled) after handling this many
-    /// events. Useful for debugging livelocked actor protocols.
+    /// newest kernel events on the attached obs bus, if any) after
+    /// handling this many events. Useful for debugging livelocked actor protocols.
     pub fn set_event_limit(&mut self, limit: Option<u64>) {
         self.event_limit = limit;
     }
 
     /// Route every kernel trace event onto `obs`'s shared event bus as a
-    /// structured `Source::Simnet` event (see [`crate::trace`]). This is
-    /// independent of [`Trace::set_enabled`], which only controls the
-    /// legacy in-memory log.
+    /// structured `Source::Simnet` event (see [`crate::trace`]).
     pub fn attach_obs(&mut self, obs: &obs::Obs) {
         self.trace.attach_obs(obs);
     }
@@ -1021,7 +990,7 @@ impl Sim {
     pub fn set_drain_mode(&mut self, mode: DrainMode) {
         assert!(self.is_idle(), "set_drain_mode requires an empty event queue");
         if let DrainMode::Explore(plan) = mode {
-            self.explore_rng = Mix64::new(plan.seed ^ 0xC1A0_57A7_E5EE_D000);
+            self.explore_rng = SplitMix64::new(plan.seed ^ 0xC1A0_57A7_E5EE_D000);
             self.explore_batches = 0;
         }
         self.mode = mode;
@@ -1092,7 +1061,7 @@ impl Sim {
                 // Per-batch stream: keyed by (plan seed, timestamp, batch
                 // ordinal) so the permutation of one batch is independent
                 // of how many events earlier batches held.
-                let mut rng = Mix64::new(
+                let mut rng = SplitMix64::new(
                     plan.seed ^ t.as_us().rotate_left(17) ^ self.explore_batches.rotate_left(41),
                 );
                 let slice = batch.make_contiguous();
@@ -1129,19 +1098,10 @@ impl Sim {
         self.events_handled += 1;
         if let Some(limit) = self.event_limit {
             if self.events_handled > limit {
-                let tail: Vec<String> = self
-                    .trace
-                    .recorded()
-                    .iter()
-                    .rev()
-                    .filter(|(_, e)| !matches!(e, TraceEvent::TimerFired { .. }))
-                    .take(40)
-                    .map(|(t, e)| format!("{t} {e:?}"))
-                    .collect();
                 panic!(
-                    "event limit {limit} exceeded at {} — runaway loop? trace tail (newest first):\n{}",
+                    "event limit {limit} exceeded at {} — runaway loop? bus tail (newest first):\n{}",
                     self.now,
-                    tail.join("\n")
+                    self.trace.tail(40)
                 );
             }
         }
@@ -1491,7 +1451,6 @@ impl Sim {
                 s.local_latency_us = self.local_latency_us;
                 s.next_flow_id = self.next_flow_id;
                 s.wire_hook = self.wire_hook.clone();
-                s.trace.set_enabled(self.trace.is_enabled());
                 if let Some(o) = self.trace.obs() {
                     let o = o.clone();
                     s.trace.attach_obs(&o);
@@ -1633,16 +1592,15 @@ impl Sim {
     }
 
     /// Fold the sub-simulations of a completed sharded run back into the
-    /// parent: hosts, pre-run actors and their state, link state, traces
-    /// (merged in `(time, shard)` order), and accounting recorded for
+    /// parent: hosts, pre-run actors and their state, link state, and
+    /// accounting recorded for
     /// foreign actors (cross-shard `Sent` transfers land on skeletons and
     /// are merged into the real actor here). Actors spawned during the run
     /// are shard-local and are dropped.
     pub(crate) fn absorb_shards(&mut self, mut subs: Vec<Sim>, plan: &crate::shard::ShardPlan) {
         let n_pre = self.states.len();
-        let mut merged_trace: Vec<(SimTime, usize, TraceEvent)> = Vec::new();
         let mut peak_sum = 0usize;
-        for (si, sub) in subs.iter_mut().enumerate() {
+        for sub in subs.iter_mut() {
             debug_assert_eq!(sub.queue_len, 0, "absorbing a shard with pending events");
             self.events_handled += sub.events_handled;
             self.seq = self.seq.max(sub.seq);
@@ -1651,9 +1609,6 @@ impl Sim {
             self.peak_shard_queue_depth = self.peak_shard_queue_depth.max(sub.peak_queue_depth);
             if sub.now > self.now {
                 self.now = sub.now;
-            }
-            for (t, ev) in sub.trace.take_recorded() {
-                merged_trace.push((t, si, ev));
             }
             self.links.extend(std::mem::take(&mut sub.links));
             self.flow_scheds.extend(std::mem::take(&mut sub.flow_scheds));
@@ -1677,10 +1632,6 @@ impl Sim {
                     self.states[a].acct.merge_foreign(&mut sub.states[a].acct);
                 }
             }
-        }
-        merged_trace.sort_by_key(|&(t, si, _)| (t, si));
-        for (t, _, ev) in merged_trace {
-            self.trace.append_recorded(t, ev);
         }
     }
 }

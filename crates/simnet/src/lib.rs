@@ -63,6 +63,7 @@
 pub mod accounting;
 pub mod actor;
 pub mod cpu;
+pub mod determinism;
 pub mod fault;
 pub mod kernel;
 pub mod link;
@@ -74,6 +75,7 @@ pub mod trace;
 
 pub use accounting::{Accounting, Dir, Snapshot, Transfer};
 pub use actor::{Action, Actor, ActorId, HostId};
+pub use determinism::{Fnv64, SplitMix64};
 pub use fault::{DropReason, FaultError, FaultPlan};
 pub use kernel::{Ctx, DrainMode, ExplorePlan, Sim, WireHook};
 pub use link::{FlowSched, Link, LinkMode};

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use adapt_core::{AdaptiveRuntime, Configuration, ResourceKey};
+use adapt_core::{AdaptiveRuntime, Configuration, ResourceKey, MONITOR_PERIOD_US};
 use adapt_transport::{Envelope, SimTransport, Transport};
 use compress::Method;
 use obs::{Adaptive, CommandRouter, ConfigValue, FnKnob, KnobError};
@@ -27,6 +27,7 @@ use wavelet::{decode_chunks, Reassembler};
 use crate::costs;
 use crate::protocol::{self, Reply, Request};
 use crate::resilience::{BreakerOpts, BreakerState, CircuitBreaker, RetryPolicy};
+use crate::scenario::{client_cpu_key, client_net_key};
 use crate::stats::{ImageRecord, RoundRecord, StatsHandle};
 use crate::store::ImageStore;
 use crate::user_model::UserModel;
@@ -146,16 +147,26 @@ impl VizConfig {
     }
 }
 
-/// Adaptation wiring: the runtime plus the observation source.
+/// Adaptation wiring: the runtime plus the observation source. The
+/// monitor samples every [`MONITOR_PERIOD_US`] and feeds the sandbox's
+/// estimates in under [`client_cpu_key`] and [`client_net_key`], the keys
+/// the performance database is profiled on.
 pub struct AdaptSetup {
-    pub runtime: AdaptiveRuntime,
+    runtime: AdaptiveRuntime,
     /// Progress estimates from this client's sandbox (the monitoring agent
     /// reuses the virtual-execution-environment machinery, §6.1).
-    pub sandbox_stats: SandboxStats,
-    pub cpu_key: ResourceKey,
-    pub net_key: ResourceKey,
-    /// Monitor sampling period (default 10 ms).
-    pub period_us: u64,
+    sandbox_stats: SandboxStats,
+    /// Built once here, so the tick does not allocate them.
+    cpu_key: ResourceKey,
+    net_key: ResourceKey,
+}
+
+impl AdaptSetup {
+    /// `sandbox_stats` must be the stats of the sandbox the client runs
+    /// in; [`crate::scenario::AdaptiveSession::build`] builds both together.
+    pub fn new(runtime: AdaptiveRuntime, sandbox_stats: SandboxStats) -> Self {
+        AdaptSetup { runtime, sandbox_stats, cpu_key: client_cpu_key(), net_key: client_net_key() }
+    }
 }
 
 /// Client construction options.
@@ -640,14 +651,14 @@ impl Client {
             a.runtime.observe(t, &a.net_key, bw);
         }
         a.runtime.tick(t);
-        let next = t + a.period_us;
+        let next = t + MONITOR_PERIOD_US;
         clock.next = next;
         if !rearm {
             return;
         }
         let may_park = self.pending.is_none() && !explores(ctx);
         let readings = [(&a.cpu_key, cpu), (&a.net_key, bw)];
-        if may_park && a.runtime.try_park(t, a.period_us, &readings) {
+        if may_park && a.runtime.try_park(t, MONITOR_PERIOD_US, &readings) {
             return;
         }
         ctx.set_timer(next.since(ctx.now()), TAG_MONITOR);
@@ -660,8 +671,8 @@ impl Actor for Client {
         self.stats.record_config(ctx.now(), initial);
         let (server, method) = (self.opts.server, self.cfg.method);
         self.post(ctx, Envelope::to(server, protocol::connect_msg(method)));
-        if let Some(a) = &self.adapt {
-            let chain = ctx.arm_timer_chain(a.period_us, TAG_MONITOR);
+        if self.adapt.is_some() {
+            let chain = ctx.arm_timer_chain(MONITOR_PERIOD_US, TAG_MONITOR);
             self.clock = Some(MonitorClock { chain, next: chain.first() });
         }
         self.begin_image(ctx);

@@ -47,8 +47,8 @@ pub use resilience::{BreakerOpts, BreakerState, CircuitBreaker, RetryPolicy};
 pub use scenario::{
     build_db, build_db_refined, client_cpu_key, client_mem_key, client_net_key, profile_point,
     run_adaptive, run_adaptive_shared, run_adaptive_until, run_adaptive_wired, run_competing,
-    run_static, run_static_until, viz_spec, CommandAt, LoadSpec, RunOutcome, Scenario, CLIENT_HOST,
-    PROFILE_INPUT, SERVER_HOST,
+    run_static, run_static_until, viz_spec, AdaptiveSession, CommandAt, LoadSpec, RunOutcome,
+    Scenario, CLIENT_HOST, PROFILE_INPUT, SERVER_HOST,
 };
 pub use server::{Reporter, Server};
 pub use socket::{

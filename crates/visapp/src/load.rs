@@ -6,9 +6,9 @@
 //! scenarios cannot: how the event kernel behaves when hundreds of
 //! monitors tick on the same 10 ms grid (the batched drain path in
 //! [`simnet::kernel`]), and how memory grows when every session carries
-//! its own [`AdaptiveRuntime`] but all of them share one interned
+//! its own [`adapt_core::AdaptiveRuntime`] but all of them share one interned
 //! [`PerfDb`] behind an [`Arc`] (via
-//! [`ResourceScheduler::new_shared`]).
+//! [`adapt_core::ResourceScheduler::new_shared`]).
 //!
 //! Determinism: everything — arrival times, think times, per-session QoS
 //! profiles — derives from [`LoadGenOpts::seed`] through the workspace's
@@ -28,56 +28,17 @@
 use std::sync::Arc;
 
 use adapt_core::{
-    AdaptiveRuntime, Constraint, Objective, PerfDb, Preference, PreferenceList, Profiler,
-    QosReport, ResourceGrid, ResourceScheduler, ResourceVector, MONITOR_PERIOD_US,
+    Constraint, Objective, PerfDb, Preference, PreferenceList, Profiler, QosReport, ResourceGrid,
+    ResourceVector, MONITOR_PERIOD_US,
 };
 use obs::{Event, MetricId, Obs, Source};
-use sandbox::{Limits, LimitsHandle, SandboxStats, Sandboxed};
-use simnet::{Actor, Ctx, DrainMode, Sim, SimTime};
+use sandbox::Limits;
+use simnet::{Actor, Ctx, DrainMode, Fnv64, Sim, SimTime, SplitMix64};
 
-use crate::client::{AdaptSetup, Client, ClientOpts, VizConfig};
-use crate::scenario::{client_cpu_key, client_net_key, viz_spec, Scenario, PROFILE_INPUT};
+use crate::scenario::{
+    client_cpu_key, client_net_key, viz_spec, AdaptiveSession, Scenario, PROFILE_INPUT,
+};
 use crate::stats::StatsHandle;
-use crate::user_model::UserModel;
-
-/// Self-contained splitmix64 stream. The load mix (arrivals, think
-/// times, profile assignment) deliberately does *not* use the `rand`
-/// crate: the committed `BENCH_load.json` baseline must stay comparable
-/// across builds, and an external crate's stream is free to change
-/// between versions.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi]` (inclusive). The modulo bias is irrelevant
-    /// at think-time ranges (~2^16 out of 2^64).
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            lo
-        } else {
-            lo + self.next_u64() % (hi - lo + 1)
-        }
-    }
-}
 
 /// How session start times are laid out.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,8 +148,6 @@ pub struct LoadGenOpts {
     /// interactive scenarios: load sessions are short).
     pub monitor_window_us: u64,
     pub trigger_gap_us: u64,
-    /// Monitor sampling period.
-    pub period_us: u64,
     /// Event-queue drain strategy under test.
     pub drain_mode: DrainMode,
 }
@@ -209,7 +168,6 @@ impl Default for LoadGenOpts {
             link_latency_us: 100,
             monitor_window_us: 200_000,
             trigger_gap_us: 100_000,
-            period_us: MONITOR_PERIOD_US,
             drain_mode: DrainMode::default(),
         }
     }
@@ -357,27 +315,23 @@ impl LoadReport {
     /// which the benchmark reports and gates on its own, not what the
     /// sessions did.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv64::new();
         for s in &self.sessions {
-            mix(s.session as u64);
-            mix(s.arrival_us);
-            mix(s.think_time_us);
-            mix(s.finished_us.map_or(u64::MAX, |t| t));
-            mix(s.rounds);
-            mix(s.images);
-            mix(s.switches);
-            mix(s.wire_bytes);
+            for v in [
+                s.session as u64,
+                s.arrival_us,
+                s.think_time_us,
+                s.finished_us.unwrap_or(u64::MAX),
+                s.rounds,
+                s.images,
+                s.switches,
+                s.wire_bytes,
+            ] {
+                h.write_u64(v);
+            }
         }
-        mix(self.end.as_us());
-        h
+        h.write_u64(self.end.as_us());
+        h.finish()
     }
 }
 
@@ -394,7 +348,6 @@ impl LoadReport {
 struct LoadWatcher {
     handles: Vec<StatsHandle>,
     arrivals: Vec<u64>,
-    period_us: u64,
     obs: Obs,
     sessions_active: MetricId,
     requests_total: MetricId,
@@ -414,7 +367,6 @@ impl LoadWatcher {
     fn new(
         handles: Vec<StatsHandle>,
         arrivals: Vec<u64>,
-        period_us: u64,
         obs: &Obs,
         sessions_active: MetricId,
         requests_total: MetricId,
@@ -422,7 +374,6 @@ impl LoadWatcher {
         LoadWatcher {
             handles,
             arrivals,
-            period_us,
             obs: obs.clone(),
             sessions_active,
             requests_total,
@@ -477,13 +428,13 @@ impl LoadWatcher {
 
 impl Actor for LoadWatcher {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(self.period_us, 0);
+        ctx.set_timer(MONITOR_PERIOD_US, 0);
     }
 
     fn on_timer(&mut self, _tag: u64, ctx: &mut Ctx<'_>) {
         self.sample(ctx.now());
         if !self.all_done() {
-            ctx.set_timer(self.period_us, 0);
+            ctx.set_timer(MONITOR_PERIOD_US, 0);
         }
     }
 }
@@ -493,7 +444,7 @@ impl Actor for LoadWatcher {
 /// the per-run `Obs` rides inside it.
 ///
 /// The database is taken by `Arc` and **shared** into every session's
-/// scheduler ([`ResourceScheduler::new_shared`]) — memory for the
+/// scheduler ([`adapt_core::ResourceScheduler::new_shared`]) — memory for the
 /// performance data is O(1) in the session count, which
 /// `bench/load_bench` demonstrates against the O(N) per-session-clone
 /// alternative.
@@ -533,6 +484,7 @@ fn simulate(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> (LoadReport, Vec<StatsHandl
         .map(|&h| sim.spawn(h, Box::new(crate::server::Server::new(store.clone()).with_obs(&obs))))
         .collect();
 
+    let sc = Arc::new(sc);
     let mut handles = Vec::with_capacity(opts.sessions);
     for i in 0..opts.sessions {
         let hc = sim.add_host(&format!("client{i}"), 1.0, 1 << 30);
@@ -545,51 +497,26 @@ fn simulate(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> (LoadReport, Vec<StatsHandl
         // Session state is built lazily at its arrival time, inside the
         // simulation: the runtime's initial scheduler decision happens
         // "on admission", exactly like a real session joining the pool.
-        let spec = viz_spec(&sc);
-        let db = db.clone();
-        let obs_c = obs.clone();
-        let store_c = store.clone();
+        let (sc, store, db, obs) = (sc.clone(), store.clone(), db.clone(), obs.clone());
         let prefs = profiles[i].preferences();
-        let server_id = server_ids[i % server_ids.len()];
-        let (think_us, window, gap, period) =
-            (think[i], opts.monitor_window_us, opts.trigger_gap_us, opts.period_us);
-        let (n_images, img_size, link_bps) = (opts.n_images, opts.img_size, opts.link_bps);
+        let server = server_ids[i % server_ids.len()];
+        let think_us = think[i];
         // Pinned to the client host so a sharded run builds the session on
         // the shard that owns it.
         sim.at_on(hc, SimTime::from_us(arrivals[i]), move |s| {
-            let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
-            let mut start = ResourceVector::default();
-            start.set(client_cpu_key(), 1.0);
-            start.set(client_net_key(), link_bps);
-            let mut runtime = AdaptiveRuntime::try_configure(spec, scheduler, window, &start)
-                .unwrap_or_else(|e| panic!("session {i}: initial configuration failed: {e}"));
-            runtime.set_obs(&obs_c);
-            runtime.monitor.min_trigger_gap_us = gap;
-            let initial = VizConfig::from_configuration(runtime.current());
-            let sandbox_stats = SandboxStats::new(window);
-            let adapt = AdaptSetup {
-                runtime,
-                sandbox_stats: sandbox_stats.clone(),
-                cpu_key: client_cpu_key(),
-                net_key: client_net_key(),
-                period_us: period,
-            };
-            let copts = ClientOpts::new(server_id)
-                .with_n_images(n_images)
-                .with_initial(initial)
-                .with_user(UserModel::center(img_size, img_size))
-                .with_geometry(store_c.cover_radius(), store_c.dims(), store_c.levels())
-                .with_think_time(Some(think_us));
-            let client = Client::new(copts, handle, Some(adapt));
-            s.spawn(
-                hc,
-                Box::new(Sandboxed::new(
-                    client,
-                    LimitsHandle::new(Limits::unconstrained()),
-                    sandbox_stats,
-                )),
-            );
-            obs_c.publish(
+            let client = AdaptiveSession {
+                server,
+                db,
+                prefs,
+                limits: Limits::unconstrained(),
+                think_time_us: Some(think_us),
+                stats: handle,
+                obs: &obs,
+                control: None,
+            }
+            .build(&sc, &store);
+            s.spawn(hc, Box::new(client));
+            obs.publish(
                 Event::new(s.now().as_us(), Source::Load, "session_start").with("session", i),
             );
         });
@@ -605,7 +532,6 @@ fn simulate(opts: &LoadGenOpts, db: &Arc<PerfDb>) -> (LoadReport, Vec<StatsHandl
         Box::new(LoadWatcher::new(
             handles.clone(),
             arrivals.clone(),
-            opts.period_us,
             &obs,
             sessions_active,
             requests_total,
@@ -804,19 +730,12 @@ mod tests {
         let obs = Obs::new();
         let active = obs.gauge("load.sessions_active");
         let total = obs.counter("load.requests_total");
-        let mut watcher = LoadWatcher::new(
-            handles.clone(),
-            arrivals.clone(),
-            opts.period_us,
-            &obs,
-            active,
-            total,
-        );
+        let mut watcher = LoadWatcher::new(handles.clone(), arrivals.clone(), &obs, active, total);
         let mut reference = FullScan { seen_done: vec![false; handles.len()], reported_rounds: 0 };
         let mut samples = 0u64;
         while !watcher.all_done() {
             samples += 1;
-            let now = SimTime::from_us(samples * opts.period_us);
+            let now = SimTime::from_us(samples * MONITOR_PERIOD_US);
             let (total_before, done_before) = (obs.counter_value(total), done_events(&obs).len());
             watcher.sample(now);
             let got = (
@@ -846,7 +765,7 @@ mod tests {
     fn watcher_reads_each_session_only_while_live() {
         for arrival in ARRIVALS {
             let (report, watcher, samples) = replay(arrival);
-            let period = LoadGenOpts::default().period_us;
+            let period = MONITOR_PERIOD_US;
             // Session reads: every sample from its arrival through the first
             // sample after its finish.
             let expected: u64 = report
@@ -869,7 +788,7 @@ mod tests {
     fn watcher_counts_only_observations_strictly_before_the_sample() {
         // A round and a finish landing exactly on a sample time are seen
         // by the next sample, not by that one.
-        let period = 10_000;
+        let period = MONITOR_PERIOD_US;
         let at = SimTime::from_us(2 * period);
         let h = StatsHandle::new();
         h.record_round(crate::stats::RoundRecord {
@@ -887,7 +806,7 @@ mod tests {
         let obs = Obs::new();
         let active = obs.gauge("load.sessions_active");
         let total = obs.counter("load.requests_total");
-        let mut watcher = LoadWatcher::new(vec![h], vec![0], period, &obs, active, total);
+        let mut watcher = LoadWatcher::new(vec![h], vec![0], &obs, active, total);
         watcher.sample(at);
         assert_eq!((obs.counter_value(total), obs.gauge_value(active)), (0, 1.0));
         assert!(done_events(&obs).is_empty() && !watcher.all_done());

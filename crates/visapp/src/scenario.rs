@@ -5,6 +5,13 @@
 //! This is the experiment harness layer: Figures 4-7 are all produced by
 //! composing [`run_static`], [`run_adaptive`], and [`build_db`] with
 //! different parameters and resource schedules.
+//!
+//! Every adaptive client — here, in the load generator and in the
+//! arbiter's storm — is built by [`AdaptiveSession::build`]: the caller
+//! names the server, database, preferences, starting limits, think time
+//! and sinks, and the [`Scenario`] supplies the rest (DESIGN.md, "Session
+//! assembly"). Every `run_*` entry point here is one call to a single
+//! private run path over one two-host testbed.
 
 use std::sync::Arc;
 
@@ -12,12 +19,12 @@ use adapt_core::{
     AdaptiveRuntime, Configuration, ControlParam, ControlSpace, ExecutionEnv, PerfDb,
     PreferenceList, Profiler, QosMetricDef, QosReport, ResourceGrid, ResourceKey,
     ResourceScheduler, ResourceVector, TaskGraph, TaskSpec, TransitionAction, TransitionSpec,
-    TunableSpec, MONITOR_PERIOD_US,
+    TunableSpec,
 };
 use compress::Method;
 use obs::{Command, CommandRouter, ConfigRegistry, Obs};
 use sandbox::{LimitSchedule, Limits, LimitsHandle, SandboxStats, Sandboxed};
-use simnet::{DrainMode, FaultPlan, HostId, LinkMode, Sim, SimTime};
+use simnet::{ActorId, DrainMode, FaultPlan, HostId, LinkMode, Sim, SimTime};
 
 use crate::client::{AdaptSetup, Client, ClientOpts, VizConfig};
 use crate::resilience::{BreakerOpts, RetryPolicy};
@@ -293,16 +300,13 @@ pub struct RunOutcome {
     pub control: CommandRouter,
 }
 
-/// Debug hooks: `VISAPP_EVENT_LIMIT=<n>` installs a runaway-loop backstop,
-/// `VISAPP_TRACE=1` enables kernel tracing (printed on the backstop panic).
+/// Debug hook: `VISAPP_EVENT_LIMIT=<n>` installs a runaway-loop backstop
+/// (its panic prints the newest kernel events on the run's bus).
 fn apply_debug_env(sim: &mut Sim) {
     if let Ok(v) = std::env::var("VISAPP_EVENT_LIMIT") {
         if let Ok(n) = v.parse::<u64>() {
             sim.set_event_limit(Some(n));
         }
-    }
-    if std::env::var("VISAPP_TRACE").is_ok_and(|v| v == "1") {
-        sim.trace.set_enabled(true);
     }
 }
 
@@ -310,7 +314,7 @@ fn apply_debug_env(sim: &mut Sim) {
 fn client_opts(
     sc: &Scenario,
     store: &Arc<ImageStore>,
-    server_id: simnet::ActorId,
+    server_id: ActorId,
     config: VizConfig,
 ) -> ClientOpts {
     ClientOpts::new(server_id)
@@ -321,6 +325,61 @@ fn client_opts(
         .with_request_timeout(sc.request_timeout_us)
         .with_retry(sc.retry)
         .with_breaker(sc.breaker)
+}
+
+/// One adaptive visapp session's inputs besides its [`Scenario`]. The
+/// scenario supplies the rest: the tunability spec ([`viz_spec`]), the
+/// monitor window and trigger gap, the link capacity that bounds the
+/// starting bandwidth estimate, and the client options.
+pub struct AdaptiveSession<'a> {
+    /// The server (or whatever relays to it) the client talks to.
+    pub server: ActorId,
+    /// The performance database the scheduler prices against, shared.
+    pub db: Arc<PerfDb>,
+    pub prefs: PreferenceList,
+    /// The sandbox's starting limits. The scheduler's first decision
+    /// assumes them granted: CPU share `cpu_share` (default 1.0), bandwidth
+    /// `net_recv_bps` capped by the link (default the link).
+    pub limits: Limits,
+    /// User think time between images (`None` moves on at once).
+    pub think_time_us: Option<u64>,
+    pub stats: StatsHandle,
+    pub obs: &'a Obs,
+    /// Where the runtime's and the client's live knobs register, if the
+    /// run has a control plane.
+    pub control: Option<&'a CommandRouter>,
+}
+
+impl AdaptiveSession<'_> {
+    /// Configure the runtime for the starting resources and wrap the
+    /// adaptive client in its sandbox. The sandbox's stats are the
+    /// monitor's observation source.
+    pub fn build(self, sc: &Scenario, store: &Arc<ImageStore>) -> Sandboxed<Client> {
+        let scheduler = ResourceScheduler::new_shared(self.db, self.prefs, PROFILE_INPUT);
+        let mut start = ResourceVector::default();
+        start.set(client_cpu_key(), self.limits.cpu_share.unwrap_or(1.0));
+        start.set(
+            client_net_key(),
+            self.limits.net_recv_bps.unwrap_or(sc.link_bps).min(sc.link_bps),
+        );
+        let mut runtime =
+            AdaptiveRuntime::try_configure(viz_spec(sc), scheduler, sc.monitor_window_us, &start)
+                .unwrap_or_else(|e| panic!("initial configuration failed: {e}"));
+        runtime.set_obs(self.obs);
+        runtime.monitor.min_trigger_gap_us = sc.trigger_gap_us;
+        if let Some(control) = self.control {
+            runtime.register_knobs(control.registry());
+        }
+        let initial = VizConfig::from_configuration(runtime.current());
+        let opts = client_opts(sc, store, self.server, initial).with_think_time(self.think_time_us);
+        let sandbox_stats = SandboxStats::new(sc.monitor_window_us);
+        let adapt = AdaptSetup::new(runtime, sandbox_stats.clone());
+        let client = Client::new(opts, self.stats, Some(adapt));
+        if let Some(control) = self.control {
+            client.register_control("client", control);
+        }
+        Sandboxed::new(client, LimitsHandle::new(self.limits), sandbox_stats)
+    }
 }
 
 /// Install the scenario's scheduled control commands: each dispatches
@@ -335,20 +394,17 @@ fn install_commands(sim: &mut Sim, router: &CommandRouter, commands: &[CommandAt
     }
 }
 
-fn assemble(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    config: VizConfig,
-    limits: LimitsHandle,
-    stats_handle: &StatsHandle,
-    adapt: Option<AdaptSetup>,
-    obs: &Obs,
-) -> (Sim, CommandRouter) {
+/// The two-host testbed: client and server hosts, the link between them
+/// with its mode, loss and fault plan, and the server (inside a
+/// bandwidth-capped sandbox when [`Scenario::server_net_cap`] is set).
+/// Returns the simulation, the client host and the server.
+fn testbed(sc: &Scenario, store: &Arc<ImageStore>, obs: Option<&Obs>) -> (Sim, HostId, ActorId) {
     sc.validate().expect("invalid scenario");
-    stats_handle.attach_obs(obs);
     let mut sim = Sim::new();
     sim.set_drain_mode(sc.drain_mode);
-    sim.attach_obs(obs);
+    if let Some(obs) = obs {
+        sim.attach_obs(obs);
+    }
     let hc = sim.add_host("client", sc.client_speed, 1 << 30);
     let hs = sim.add_host("server", sc.server_speed, 1 << 30);
     sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
@@ -361,9 +417,11 @@ fn assemble(
     if let Some(plan) = &sc.fault_plan {
         plan.install(&mut sim);
     }
-
-    // Server, optionally bandwidth-capped via its own sandbox.
-    let server = Server::new(store.clone()).with_obs(obs);
+    let server = Server::new(store.clone());
+    let server = match obs {
+        Some(obs) => server.with_obs(obs),
+        None => server,
+    };
     let server_id = match sc.server_net_cap {
         Some(cap) => {
             let slim = LimitsHandle::new(Limits { net_send_bps: Some(cap), ..Limits::default() });
@@ -371,25 +429,72 @@ fn assemble(
         }
         None => sim.spawn(hs, Box::new(server)),
     };
+    (sim, hc, server_id)
+}
 
-    let opts = client_opts(sc, store, server_id, config).with_verify_store(if sc.verify {
-        Some(store.clone())
-    } else {
-        None
-    });
-    let router = CommandRouter::new(ConfigRegistry::new()).with_obs(obs);
-    if let Some(a) = &adapt {
-        a.runtime.register_knobs(router.registry());
-    }
-    let client = Client::new(opts, stats_handle.clone(), adapt);
-    client.register_control("client", &router);
-    sim.spawn(
-        hc,
-        Box::new(Sandboxed::new(client, limits, SandboxStats::new(sc.monitor_window_us))),
-    );
+/// What runs on the client host of a [`run`].
+enum Session {
+    /// A fixed configuration.
+    Static(VizConfig),
+    /// The adaptive client, scheduling against `db` under `prefs`.
+    Adaptive { db: Arc<PerfDb>, prefs: PreferenceList },
+}
+
+/// Assemble the testbed, run `session` on it and collect the outcome.
+/// `schedule` varies the client's limits over time; `horizon` stops the
+/// run even when events remain; `wire` is interposed on every message.
+fn run(
+    sc: &Scenario,
+    store: &Arc<ImageStore>,
+    session: Session,
+    initial_limits: Limits,
+    schedule: Option<LimitSchedule>,
+    horizon: Option<SimTime>,
+    wire: Option<simnet::WireHook>,
+) -> RunOutcome {
+    let obs = Obs::new();
+    let stats = StatsHandle::new();
+    stats.attach_obs(&obs);
+    let (mut sim, hc, server) = testbed(sc, store, Some(&obs));
+    sim.set_wire_hook(wire);
+    let control = CommandRouter::new(ConfigRegistry::new()).with_obs(&obs);
+    let client = match session {
+        Session::Static(config) => {
+            let opts = client_opts(sc, store, server, config)
+                .with_verify_store(sc.verify.then(|| store.clone()));
+            let client = Client::new(opts, stats.clone(), None);
+            client.register_control("client", &control);
+            let limits = LimitsHandle::new(initial_limits);
+            Sandboxed::new(client, limits, SandboxStats::new(sc.monitor_window_us))
+        }
+        Session::Adaptive { db, prefs } => {
+            assert!(!sc.verify, "verification requires a fixed configuration");
+            AdaptiveSession {
+                server,
+                db,
+                prefs,
+                limits: initial_limits,
+                think_time_us: None,
+                stats: stats.clone(),
+                obs: &obs,
+                control: Some(&control),
+            }
+            .build(sc, store)
+        }
+    };
+    let limits = client.limits();
+    sim.spawn(hc, Box::new(client));
     install_loads(&mut sim, hc, &sc.competing_load);
-    install_commands(&mut sim, &router, &sc.commands);
-    (sim, router)
+    install_commands(&mut sim, &control, &sc.commands);
+    apply_debug_env(&mut sim);
+    if let Some(sched) = schedule {
+        sched.install(&mut sim, &limits);
+    }
+    match horizon {
+        Some(h) => sim.run_until(h),
+        None => sim.run_until_idle(),
+    }
+    RunOutcome { stats: stats.take(), end: sim.now(), obs, control }
 }
 
 /// Run a fixed (non-adaptive) configuration. `schedule` varies the
@@ -401,16 +506,7 @@ pub fn run_static(
     initial_limits: Limits,
     schedule: Option<LimitSchedule>,
 ) -> RunOutcome {
-    let obs = Obs::new();
-    let stats_handle = StatsHandle::new();
-    let limits = LimitsHandle::new(initial_limits);
-    let (mut sim, control) = assemble(sc, store, config, limits.clone(), &stats_handle, None, &obs);
-    apply_debug_env(&mut sim);
-    if let Some(sched) = schedule {
-        sched.install(&mut sim, &limits);
-    }
-    sim.run_until_idle();
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+    run(sc, store, Session::Static(config), initial_limits, schedule, None, None)
 }
 
 /// Like [`run_static`] but stops the simulation at `horizon` even when
@@ -425,16 +521,7 @@ pub fn run_static_until(
     schedule: Option<LimitSchedule>,
     horizon: SimTime,
 ) -> RunOutcome {
-    let obs = Obs::new();
-    let stats_handle = StatsHandle::new();
-    let limits = LimitsHandle::new(initial_limits);
-    let (mut sim, control) = assemble(sc, store, config, limits.clone(), &stats_handle, None, &obs);
-    apply_debug_env(&mut sim);
-    if let Some(sched) = schedule {
-        sched.install(&mut sim, &limits);
-    }
-    sim.run_until(horizon);
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+    run(sc, store, Session::Static(config), initial_limits, schedule, Some(horizon), None)
 }
 
 /// Run the adaptive application: performance database + preferences drive
@@ -447,7 +534,7 @@ pub fn run_adaptive(
     initial_limits: Limits,
     schedule: Option<LimitSchedule>,
 ) -> RunOutcome {
-    run_adaptive_inner(sc, store, Arc::new(db), prefs, initial_limits, schedule, None, None)
+    run_adaptive_shared(sc, store, Arc::new(db), prefs, initial_limits, schedule)
 }
 
 /// Like [`run_adaptive`] but over a shared database snapshot: no record
@@ -462,7 +549,7 @@ pub fn run_adaptive_shared(
     initial_limits: Limits,
     schedule: Option<LimitSchedule>,
 ) -> RunOutcome {
-    run_adaptive_inner(sc, store, db, prefs, initial_limits, schedule, None, None)
+    run(sc, store, Session::Adaptive { db, prefs }, initial_limits, schedule, None, None)
 }
 
 /// Like [`run_adaptive`], but with a [`simnet::WireHook`] interposed on
@@ -479,7 +566,8 @@ pub fn run_adaptive_wired(
     schedule: Option<LimitSchedule>,
     wire: simnet::WireHook,
 ) -> RunOutcome {
-    run_adaptive_inner(sc, store, Arc::new(db), prefs, initial_limits, schedule, None, Some(wire))
+    let session = Session::Adaptive { db: Arc::new(db), prefs };
+    run(sc, store, session, initial_limits, schedule, None, Some(wire))
 }
 
 /// Like [`run_adaptive`] but stops the simulation at `horizon` even when
@@ -495,91 +583,8 @@ pub fn run_adaptive_until(
     schedule: Option<LimitSchedule>,
     horizon: SimTime,
 ) -> RunOutcome {
-    run_adaptive_inner(
-        sc,
-        store,
-        Arc::new(db),
-        prefs,
-        initial_limits,
-        schedule,
-        Some(horizon),
-        None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_inner(
-    sc: &Scenario,
-    store: &Arc<ImageStore>,
-    db: Arc<PerfDb>,
-    prefs: PreferenceList,
-    initial_limits: Limits,
-    schedule: Option<LimitSchedule>,
-    horizon: Option<SimTime>,
-    wire: Option<simnet::WireHook>,
-) -> RunOutcome {
-    assert!(!sc.verify, "verification requires a fixed configuration");
-    sc.validate().expect("invalid scenario");
-    let obs = Obs::new();
-    let spec = viz_spec(sc);
-    let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
-    // Initial resource estimate from the starting limits (what admission
-    // control / reservation would have granted).
-    let l = initial_limits;
-    let mut start = ResourceVector::default();
-    start.set(client_cpu_key(), l.cpu_share.unwrap_or(1.0));
-    start.set(client_net_key(), l.net_recv_bps.unwrap_or(sc.link_bps).min(sc.link_bps));
-    let mut runtime = AdaptiveRuntime::try_configure(spec, scheduler, sc.monitor_window_us, &start)
-        .unwrap_or_else(|e| panic!("initial configuration failed: {e}"));
-    runtime.set_obs(&obs);
-    runtime.monitor.min_trigger_gap_us = sc.trigger_gap_us;
-    let control = CommandRouter::new(ConfigRegistry::new()).with_obs(&obs);
-    runtime.register_knobs(control.registry());
-    let initial_cfg = VizConfig::from_configuration(runtime.current());
-    let sandbox_stats = SandboxStats::new(sc.monitor_window_us);
-    let adapt = AdaptSetup {
-        runtime,
-        sandbox_stats: sandbox_stats.clone(),
-        cpu_key: client_cpu_key(),
-        net_key: client_net_key(),
-        period_us: MONITOR_PERIOD_US,
-    };
-
-    let stats_handle = StatsHandle::new();
-    stats_handle.attach_obs(&obs);
-    let limits = LimitsHandle::new(l);
-    let mut sim = Sim::new();
-    sim.set_drain_mode(sc.drain_mode);
-    sim.set_wire_hook(wire);
-    sim.attach_obs(&obs);
-    let hc = sim.add_host("client", sc.client_speed, 1 << 30);
-    let hs = sim.add_host("server", sc.server_speed, 1 << 30);
-    sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
-    sim.set_link_mode(hc, hs, sc.link_mode);
-    sim.set_link_mode(hs, hc, sc.link_mode);
-    if let Some((p, seed)) = sc.link_loss {
-        sim.set_link_loss(hc, hs, p, seed);
-        sim.set_link_loss(hs, hc, p, seed.wrapping_add(1));
-    }
-    if let Some(plan) = &sc.fault_plan {
-        plan.install(&mut sim);
-    }
-    let server_id = sim.spawn(hs, Box::new(Server::new(store.clone()).with_obs(&obs)));
-    let opts = client_opts(sc, store, server_id, initial_cfg);
-    let client = Client::new(opts, stats_handle.clone(), Some(adapt));
-    client.register_control("client", &control);
-    sim.spawn(hc, Box::new(Sandboxed::new(client, limits.clone(), sandbox_stats)));
-    install_loads(&mut sim, hc, &sc.competing_load);
-    install_commands(&mut sim, &control, &sc.commands);
-    apply_debug_env(&mut sim);
-    if let Some(sched) = schedule {
-        sched.install(&mut sim, &limits);
-    }
-    match horizon {
-        Some(h) => sim.run_until(h),
-        None => sim.run_until_idle(),
-    }
-    RunOutcome { stats: stats_handle.take(), end: sim.now(), obs, control }
+    let session = Session::Adaptive { db: Arc::new(db), prefs };
+    run(sc, store, session, initial_limits, schedule, Some(horizon), None)
 }
 
 /// Run several independent clients concurrently against one server, each
@@ -591,30 +596,12 @@ pub fn run_competing(
     store: &Arc<ImageStore>,
     clients: &[(VizConfig, Limits)],
 ) -> Vec<RunStats> {
-    sc.validate().expect("invalid scenario");
-    let mut sim = Sim::new();
-    sim.set_drain_mode(sc.drain_mode);
-    let hc = sim.add_host("client", sc.client_speed, 1 << 30);
-    let hs = sim.add_host("server", sc.server_speed, 1 << 30);
-    sim.set_link(hc, hs, sc.link_bps, sc.link_latency_us);
-    sim.set_link_mode(hc, hs, sc.link_mode);
-    sim.set_link_mode(hs, hc, sc.link_mode);
-    if let Some((p, seed)) = sc.link_loss {
-        sim.set_link_loss(hc, hs, p, seed);
-        sim.set_link_loss(hs, hc, p, seed.wrapping_add(1));
-    }
-    if let Some(plan) = &sc.fault_plan {
-        plan.install(&mut sim);
-    }
-    let server_id = sim.spawn(hs, Box::new(Server::new(store.clone())));
+    let (mut sim, hc, server_id) = testbed(sc, store, None);
     let mut handles = Vec::new();
     for (config, limits) in clients {
         let stats_handle = StatsHandle::new();
-        let opts = client_opts(sc, store, server_id, *config).with_verify_store(if sc.verify {
-            Some(store.clone())
-        } else {
-            None
-        });
+        let opts = client_opts(sc, store, server_id, *config)
+            .with_verify_store(sc.verify.then(|| store.clone()));
         let client = Client::new(opts, stats_handle.clone(), None);
         sim.spawn(
             hc,

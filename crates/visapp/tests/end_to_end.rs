@@ -235,6 +235,28 @@ fn adaptive_client_degrades_resolution_under_deadline() {
 }
 
 #[test]
+fn server_bandwidth_cap_holds_for_adaptive_runs() {
+    // `server_net_cap` sandboxes the server on every run path: an adaptive
+    // client behind a capped server waits for its bytes like a static one.
+    let sc = Scenario::small();
+    let store = sc.build_store();
+    let db = build_db(&sc, &store, &[1.0], &[sc.link_bps], 1);
+    let prefs =
+        PreferenceList::single(Preference::new(vec![], Objective::minimize("transmit_time")));
+    let mean_transmit = |cap: Option<f64>| {
+        let sc = Scenario { server_net_cap: cap, ..sc.clone() };
+        let out =
+            run_adaptive(&sc, &store, db.clone(), prefs.clone(), Limits::unconstrained(), None);
+        assert_eq!(out.stats.images.len(), sc.n_images);
+        out.stats.avg_transmit_secs()
+    };
+    // Below the sandbox's 2 KiB minimum burst per second, so every reply
+    // waits for tokens.
+    let (free, capped) = (mean_transmit(None), mean_transmit(Some(1_000.0)));
+    assert!(capped > 2.0 * free, "capped {capped}s vs uncapped {free}s");
+}
+
+#[test]
 fn profile_store_cache_is_reused_across_runs() {
     let sc = Scenario { n_images: 1, img_size: 64, levels: 3, ..Scenario::default() };
     let store = sc.build_store();
@@ -577,13 +599,7 @@ fn remote_monitoring_reports_reach_the_client_runtime() {
     );
 
     let client_stats = SandboxStats::new(1_000_000);
-    let adapt = visapp::AdaptSetup {
-        runtime,
-        sandbox_stats: client_stats.clone(),
-        cpu_key: client_cpu_key(),
-        net_key: client_net_key(),
-        period_us: adapt_core::MONITOR_PERIOD_US,
-    };
+    let adapt = visapp::AdaptSetup::new(runtime, client_stats.clone());
     let stats = visapp::StatsHandle::new();
     let probe = stats.clone();
     let opts = visapp::ClientOpts::new(server_id)

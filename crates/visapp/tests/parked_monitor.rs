@@ -11,23 +11,14 @@
 
 use std::sync::Arc;
 
-use adapt_core::{
-    AdaptiveRuntime, Objective, Preference, PreferenceList, ResourceScheduler, ResourceVector,
-    MONITOR_PERIOD_US as P,
-};
+use adapt_core::{Objective, Preference, PreferenceList, MONITOR_PERIOD_US as P};
 use obs::Obs;
-use sandbox::{Limits, LimitsHandle, SandboxStats, Sandboxed};
+use sandbox::Limits;
 use simnet::{Actor, ActorId, Ctx, DrainMode, ExplorePlan, Message, Sim, SimTime};
 use visapp::load::{model_db, LoadGenOpts};
-use visapp::{
-    client_cpu_key, client_net_key, viz_spec, AdaptSetup, Client, ClientOpts, Server, StatsHandle,
-    UserModel, VizConfig, PROFILE_INPUT,
-};
+use visapp::{AdaptiveSession, Server, StatsHandle};
 
 const RELEASE: u64 = 1;
-/// The monitor window: the client parks 21 ticks after its readings last
-/// changed.
-const WINDOW_US: u64 = 200_000;
 
 /// Forwards requests to the server and holds each reply until the grid
 /// tick at least `hold_us` after it arrived, sending it at `T - P +
@@ -69,19 +60,15 @@ struct Outcome {
 /// One client behind the relay. `crash` crashes the client's host at the
 /// first instant and restarts it at the second.
 fn run(mode: DrainMode, offset: i64, crash: Option<(u64, u64)>) -> Outcome {
+    // The load scenario's 200 ms monitor window: the client parks 21
+    // ticks after its readings last changed.
     let opts = LoadGenOpts::new(1).with_n_images(2);
     let sc = opts.scenario();
     let store = sc.build_store();
     let db = Arc::new(model_db(&opts));
     let prefs =
         PreferenceList::single(Preference::new(vec![], Objective::minimize("transmit_time")));
-    let scheduler = ResourceScheduler::new_shared(db, prefs, PROFILE_INPUT);
-    let start = ResourceVector::new(&[(client_cpu_key(), 1.0), (client_net_key(), 1e6)]);
     let obs = Obs::new();
-    let mut runtime =
-        AdaptiveRuntime::try_configure(viz_spec(&sc), scheduler, WINDOW_US, &start).unwrap();
-    runtime.set_obs(&obs);
-    let initial = VizConfig::from_configuration(runtime.current());
 
     let mut sim = Sim::new();
     sim.set_drain_mode(mode);
@@ -95,23 +82,19 @@ fn run(mode: DrainMode, offset: i64, crash: Option<(u64, u64)>) -> Outcome {
     sim.set_link_directed(hc, hr, 1e12, 100);
     sim.set_link(hr, hs, 12_500_000.0, 100);
     let (client_id, relay_id, server_id) = (ActorId(0), ActorId(1), ActorId(2));
-    let sandbox_stats = SandboxStats::new(WINDOW_US);
-    let adapt = AdaptSetup {
-        runtime,
-        sandbox_stats: sandbox_stats.clone(),
-        cpu_key: client_cpu_key(),
-        net_key: client_net_key(),
-        period_us: P,
-    };
     let stats = StatsHandle::new();
-    let copts = ClientOpts::new(relay_id)
-        .with_n_images(sc.n_images)
-        .with_initial(initial)
-        .with_user(UserModel::center(sc.img_size, sc.img_size))
-        .with_geometry(store.cover_radius(), store.dims(), store.levels());
-    let client = Client::new(copts, stats.clone(), Some(adapt));
-    let limits = LimitsHandle::new(Limits::unconstrained());
-    assert_eq!(sim.spawn(hc, Box::new(Sandboxed::new(client, limits, sandbox_stats))), client_id);
+    let client = AdaptiveSession {
+        server: relay_id,
+        db,
+        prefs,
+        limits: Limits::unconstrained(),
+        think_time_us: None,
+        stats: stats.clone(),
+        obs: &obs,
+        control: None,
+    }
+    .build(&sc, &store);
+    assert_eq!(sim.spawn(hc, Box::new(client)), client_id);
     let relay =
         Relay { client: client_id, server: server_id, offset, hold_us: 400_000, held: vec![] };
     assert_eq!(sim.spawn(hr, Box::new(relay)), relay_id);

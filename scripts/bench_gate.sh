@@ -90,6 +90,43 @@ if stale:
 print("BENCH_load.json: load digests match the committed baseline")
 EOF
 
+# Storm digest cross-check, the same contract for the arbiter storm:
+# every sweep row's outcome digest must match the committed
+# BENCH_arbiter.json.
+python3 - BENCH_arbiter.json "$fresh/BENCH_arbiter.json" <<'EOF' || status=1
+import json, sys
+with open(sys.argv[1]) as fh:
+    base = json.load(fh)["deterministic"]["sweep"]
+with open(sys.argv[2]) as fh:
+    fresh = json.load(fh)["deterministic"]["sweep"]
+stale = []
+if len(base) != len(fresh):
+    stale.append(f"committed {len(base)} rows != fresh {len(fresh)}")
+else:
+    for b, f in zip(base, fresh):
+        if b["digest"] != f["digest"]:
+            stale.append(f"apps={b['apps']}: committed {b['digest']} != fresh {f['digest']}")
+if stale:
+    print("BENCH_arbiter.json: committed storm digests are stale — regenerate the "
+          "baseline with ./target/release/arbiter_bench and commit it:", file=sys.stderr)
+    for line in stale:
+        print(f"  {line}", file=sys.stderr)
+    sys.exit(1)
+print("BENCH_arbiter.json: storm digests match the committed baseline")
+EOF
+
+# The chaos example writes BENCH_faults.json from a fully deterministic
+# run: the fresh file must equal the committed one byte for byte.
+cargo run --release -q --example chaos "$fresh/BENCH_faults.json" >/dev/null
+if cmp -s BENCH_faults.json "$fresh/BENCH_faults.json"; then
+    echo "BENCH_faults.json: chaos output matches the committed baseline byte for byte"
+else
+    echo "BENCH_faults.json: chaos output differs from the committed baseline — regenerate" \
+         "it with cargo run --release --example chaos BENCH_faults.json and commit it:" >&2
+    diff BENCH_faults.json "$fresh/BENCH_faults.json" >&2 || true
+    status=1
+fi
+
 # Absolute zero-overhead gate on the *fresh* run (independent of the
 # committed baseline): with exporters disabled, the span hot path must
 # keep >= 95% of the no-exporter throughput measured in the same
